@@ -32,6 +32,8 @@ themselves are single-writer: run them from one thread.
 
 from __future__ import annotations
 
+import math
+from numbers import Real
 from typing import Optional
 
 from repro.core.errors import PathIndexError
@@ -44,6 +46,26 @@ from repro.index.path_enum import (
 )
 
 
+def _check_entity_args(
+    type_name: str, text: str, pagerank: Optional[float]
+) -> None:
+    """Reject :func:`add_entity` arguments that would fail mid-update."""
+    if not isinstance(type_name, str):
+        raise TypeError(
+            f"type_name must be a str, not {type(type_name).__name__}"
+        )
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a str, not {type(text).__name__}")
+    if pagerank is None:
+        return
+    if isinstance(pagerank, bool) or not isinstance(pagerank, Real):
+        raise TypeError(
+            f"pagerank must be a float, not {type(pagerank).__name__}"
+        )
+    if not math.isfinite(pagerank):
+        raise ValueError(f"pagerank must be finite, got {pagerank!r}")
+
+
 def add_entity(
     indexes: PathIndexes,
     type_name: str,
@@ -54,8 +76,11 @@ def add_entity(
     """Add a node to the graph and index its singleton paths.
 
     Returns the new node id.  ``pagerank`` defaults to the teleport floor
-    ``0.15 / |V|`` (the rank of an unreferenced node).
+    ``0.15 / |V|`` (the rank of an unreferenced node).  Arguments are
+    validated before anything changes: a bad one raises ``TypeError`` or
+    ``ValueError`` with the graph, PageRank vector and store untouched.
     """
+    _check_entity_args(type_name, text, pagerank)
     graph = indexes.graph
     # One lock span for the whole update — graph, PageRank vector,
     # lexicon, store — so a concurrent snapshot observes none or all of

@@ -424,7 +424,6 @@ class MappedPostingStore(PostingStore):
         self._path_ids = None
         self._overlay: Optional[DeltaOverlay] = None
         self._backed = True
-        self._query_cache = None
 
     def _install_generation(self, gen_views: Optional[Dict[str, tuple]]) -> None:
         """(Re)build the lazy finalized-view dicts for the current version.
@@ -620,14 +619,12 @@ class MappedPostingStore(PostingStore):
         return self._lazy_bounds
 
     def release_query_columns(self) -> None:
-        self._query_cache = None
+        PostingStore.release_query_columns(self)
         if self._backed and self._finalized_version == self.version:
             # The lazy bound dicts are the backed store's "cold" state
             # already — re-seed the slot instead of forcing the next
             # pruning query through a full eager rebuild.
             self._bound_cache = (self.version, self._lazy_bounds)
-        else:
-            self._bound_cache = None
 
     # --------------------------------------------------- re-map & escape
 
@@ -715,7 +712,6 @@ class MappedPostingStore(PostingStore):
         }
         self._backed = False
         self._overlay = None
-        self._query_cache = None
         self._bound_cache = None
         MappedPostingStore.backed_stores_thawed += 1
 

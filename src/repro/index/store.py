@@ -44,6 +44,210 @@ OFFSET_TYPECODE = "q"
 FLAG_TYPECODE = "b"
 FLOAT_TYPECODE = "d"
 
+
+class _UnfilledSlot:
+    """Placeholder of a query-column slot that no fill has reached.
+
+    Every operation the hot loops apply to a slot — truth test,
+    comparison, arithmetic, iteration — raises, so reading a path that
+    was never filled fails loudly instead of answering wrong.
+    """
+
+    __slots__ = ()
+
+    def _unfilled(self, *_args):
+        raise PathIndexError(
+            "read a query-column slot that was never filled: fill the "
+            "query's words first (PostingStore.fill_query_words)"
+        )
+
+    __bool__ = __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _unfilled
+    __add__ = __radd__ = __iter__ = _unfilled
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return "UNFILLED"
+
+
+UNFILLED = _UnfilledSlot()
+
+
+class QueryColumns:
+    """Boxed, pre-shaped path columns for the enumeration hot loops.
+
+    The ``array`` columns keep the resident footprint compact but box a
+    fresh Python int on every subscript, and the query loops revisit the
+    same paths thousands of times per cross product.  This set re-shapes
+    each path once into plain lists::
+
+        (roots, sizes, prs, edges, self_invalid)
+
+    where ``edges[path_id]`` is a tuple of ``(child, (parent, attr))``
+    pairs (pre-allocated once per distinct edge and shared by every path
+    and every tree-validity check that touches it) and
+    ``self_invalid[path_id]`` records whether the path *alone* fails the
+    tree check — it revisits its own root, or assigns a node two distinct
+    parent edges (never true for builder-enumerated simple paths, but
+    hand-constructed stores are checked identically to
+    :func:`~repro.index.entry.entries_form_tree`).
+
+    One set lives as long as its store and only grows.  Path columns are
+    append-only (a path id keeps its nodes, attrs, root and pr forever,
+    and a compaction re-map keeps ids stable), so a boxed slot never goes
+    stale and the set needs no version tag.  Slots are filled on demand:
+
+    * per word (:meth:`fill_words`) — a query boxes only the paths its
+      words' postings reach.  ``covered`` records how many of a word's
+      postings were filled; postings only grow, so a lower count than the
+      word holds now means "scan the word again", boxing just the slots
+      still unfilled;
+    * per id (:meth:`fill_paths`) for id-only callers;
+    * as a range over every path (:meth:`fill_range`) for eager
+      consumers; ``prefix`` marks the ids below which every slot is
+      boxed, so a later range fill covers only new paths.
+
+    New paths extend the lists with :data:`UNFILLED` placeholders.  Fills
+    hold :attr:`lock`; the "already covered" checks do not (a word's
+    count is published only after all its slots are boxed).
+    """
+
+    __slots__ = (
+        "roots",
+        "sizes",
+        "prs",
+        "edges",
+        "self_invalid",
+        "covered",
+        "prefix",
+        "boxed",
+        "edge_pairs",
+        "lock",
+    )
+
+    def __init__(self) -> None:
+        self.roots: List = []
+        self.sizes: List = []
+        self.prs: List = []
+        self.edges: List = []
+        self.self_invalid: List = []
+        self.covered: Dict[str, int] = {}
+        self.prefix = 0
+        #: Slots boxed so far (the laziness tests read it).
+        self.boxed = 0
+        #: ``(child, parent, attr) -> (child, (parent, attr))``: paths
+        #: share their edges, so every path holding an edge holds the
+        #: same pair object — a few objects per distinct graph edge
+        #: instead of two per path edge.
+        self.edge_pairs: Dict[tuple, tuple] = {}
+        self.lock = threading.Lock()
+
+    def columns(self) -> tuple:
+        return (self.roots, self.sizes, self.prs, self.edges, self.self_invalid)
+
+    def fill_words(self, store, postings) -> None:
+        """Box every path the given postings reach.
+
+        ``postings`` yields ``(word, ids, count)``: the word's posting-id
+        column and how many of its postings to cover.  ``store`` supplies
+        the path columns and ``num_paths`` (a snapshot passes its pinned
+        state).  Counts are taken before ``num_paths`` is read, so every
+        id they reach is below it.
+        """
+        covered = self.covered
+        todo = [
+            (word, ids, count)
+            for word, ids, count in postings
+            if covered.get(word, 0) < count
+        ]
+        if not todo or self.prefix >= store.num_paths:
+            return
+        with self.lock:
+            self._grow(store.num_paths)
+            for word, ids, count in todo:
+                if covered.get(word, 0) >= count:
+                    continue  # another reader filled it while we waited
+                self._box(store, ids[:count])
+                covered[word] = count
+
+    def fill_paths(self, store, path_ids: Iterable[int]) -> None:
+        """Box the given path ids (those not boxed yet)."""
+        sizes = self.sizes
+        known = len(sizes)
+        todo = [
+            path_id
+            for path_id in path_ids
+            if path_id >= known or sizes[path_id] is UNFILLED
+        ]
+        if not todo:
+            return
+        with self.lock:
+            self._grow(store.num_paths)
+            self._box(store, todo)
+
+    def fill_range(self, store) -> None:
+        """Box every path below ``store.num_paths`` — no posting scan."""
+        stop = store.num_paths
+        if self.prefix >= stop:
+            return
+        with self.lock:
+            start = self.prefix
+            if start >= stop:
+                return
+            self._grow(stop)
+            self._box(store, range(start, stop))
+            self.prefix = stop
+
+    def _grow(self, num_paths: int) -> None:
+        missing = num_paths - len(self.sizes)
+        if missing > 0:
+            pad = [UNFILLED] * missing
+            for column in self.columns():
+                column.extend(pad)
+
+    def _box(self, store, path_ids: Iterable[int]) -> None:
+        """Box the slots of each path not boxed yet; the caller holds
+        :attr:`lock` and has grown the lists past every id."""
+        offsets = store._node_offsets
+        nodes = store._nodes
+        attrs = store._attrs
+        root_column = store._roots
+        pr_column = store._prs
+        roots = self.roots
+        sizes = self.sizes
+        prs = self.prs
+        edges = self.edges
+        self_invalid = self.self_invalid
+        shared = self.edge_pairs
+        boxed = 0
+        for path_id in path_ids:
+            if sizes[path_id] is not UNFILLED:
+                continue
+            start = offsets[path_id]
+            end = offsets[path_id + 1]
+            attr_start = start - path_id
+            root = root_column[path_id]
+            invalid = False
+            path_edges = []
+            parent: Dict[NodeId, Tuple[NodeId, AttrId]] = {}
+            for i in range(end - start - 1):
+                child = nodes[start + i + 1]
+                key = (child, nodes[start + i], attrs[attr_start + i])
+                pair = shared.get(key)
+                if pair is None:
+                    pair = shared[key] = (child, key[1:])
+                edge = pair[1]
+                if child == root or parent.setdefault(child, edge) != edge:
+                    invalid = True
+                path_edges.append(pair)
+            roots[path_id] = root
+            prs[path_id] = pr_column[path_id]
+            edges[path_id] = tuple(path_edges)
+            self_invalid[path_id] = invalid
+            sizes[path_id] = end - start  # last: the "already boxed" mark
+            boxed += 1
+        self.boxed += boxed
+
+
 class PostingList(Sequence[PathEntry]):
     """A flyweight, lazily-materialized sequence of :class:`PathEntry`.
 
@@ -227,13 +431,16 @@ class PostingStore:
         #: stored posting.  Benchmarks and the zero-materialization
         #: regression tests read deltas of this.
         self.entries_materialized = 0
-        # Query-time acceleration columns (see _query_columns) and
-        # aggregate bound columns for score pruning (see bound_columns).
-        # Each slot holds ``(version, cache)`` as ONE tuple swapped
+        # Query-time acceleration columns, filled on demand and never
+        # invalidated (see QueryColumns).  Scratch stores fill every path
+        # on read instead of per word (they hold no postings).
+        self._query_cols = QueryColumns()
+        self._fill_on_read = False
+        # Aggregate bound columns for score pruning (see bound_columns).
+        # The slot holds ``(version, cache)`` as ONE tuple swapped
         # atomically: readers load the slot once and compare its version
-        # tag, so a concurrent donation (StoreSnapshot._build_and_donate)
-        # can never pair an old cache object with a new version tag.
-        self._query_cache: Optional[tuple] = None
+        # tag, so a concurrent donation (StoreSnapshot.bound_columns) can
+        # never pair an old cache object with a new version tag.
         self._bound_cache: Optional[tuple] = None
         #: Mutation lock for the snapshot protocol: writers that mutate a
         #: *served* store (incremental maintenance) and readers taking a
@@ -249,11 +456,13 @@ class PostingStore:
         # that pickle a whole bundle (e.g. legacy/diagnostic envelopes).
         state = self.__dict__.copy()
         state["lock"] = None
+        state["_query_cols"] = None
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         self.lock = threading.Lock()
+        self._query_cols = QueryColumns()
 
     @classmethod
     def scratch(cls, interner: Optional[PatternInterner] = None) -> "PostingStore":
@@ -262,10 +471,12 @@ class PostingStore:
         Columns are plain Python lists instead of typed arrays: a scratch
         store lives for a single query, so array compactness loses to the
         boxing round-trip (``append_path`` would unbox every id into the
-        array only for :meth:`_query_columns` to box it right back out).
-        Must never be serialized.
+        array only for the query columns to box it right back out).  It
+        holds paths but no postings, so its query columns fill every
+        path when read.  Must never be serialized.
         """
         store = cls(interner if interner is not None else PatternInterner())
+        store._fill_on_read = True
         store._node_offsets = [0]
         store._nodes = []
         store._attrs = []
@@ -589,92 +800,77 @@ class PostingStore:
     # --------------------------------------------- store-native hot variants
 
     def _query_columns(self) -> tuple:
-        """Boxed, pre-shaped path columns for the enumeration hot loops.
+        """The store's :class:`QueryColumns` lists, as filled so far.
 
-        The ``array`` columns keep the resident footprint compact but box
-        a fresh Python int on every subscript, and the query loops revisit
-        the same paths thousands of times per cross product.  This cache
-        re-shapes each *distinct* path once per store version into plain
-        lists/tuples::
-
-            (roots, sizes, prs, edges, self_invalid)
-
-        where ``edges[path_id]`` is a tuple of ``(child, (parent, attr))``
-        pairs (the parent-edge tuple is pre-allocated and shared across
-        every tree-validity check that touches the path) and
-        ``self_invalid[path_id]`` records whether the path *alone* fails
-        the tree check — it revisits its own root, or assigns a node two
-        distinct parent edges (never true for builder-enumerated simple
-        paths, but hand-constructed stores are checked identically to
-        :func:`~repro.index.entry.entries_form_tree`).  Built lazily on
-        the first query after a mutation; size is bounded by the number
-        of distinct paths, not postings.
+        Reading does not fill (scratch stores excepted): the hot loops'
+        paths belong to words an :class:`~repro.search.context.
+        EnumerationContext` filled when it was built, and a slot nobody
+        filled raises instead of answering.
         """
-        slot = self._query_cache
-        version = self.version
-        if slot is not None and slot[0] == version:
-            return slot[1]
-        offsets = self._node_offsets
-        nodes = self._nodes
-        attrs = self._attrs
-        num_paths = self.num_paths
-        # list() boxes each array element once; scratch stores (already
-        # list-backed) just take a cheap pointer copy.
-        roots = list(self._roots)
-        prs = list(self._prs)
-        sizes: List[int] = [0] * num_paths
-        edges: List[tuple] = [()] * num_paths
-        self_invalid: List[bool] = [False] * num_paths
-        for path_id in range(num_paths):
-            start = offsets[path_id]
-            end = offsets[path_id + 1]
-            attr_start = start - path_id
-            sizes[path_id] = end - start
-            root = roots[path_id]
-            path_edges = []
-            parent: Dict[NodeId, Tuple[NodeId, AttrId]] = {}
-            for i in range(end - start - 1):
-                child = nodes[start + i + 1]
-                edge = (nodes[start + i], attrs[attr_start + i])
-                if child == root or parent.setdefault(child, edge) != edge:
-                    self_invalid[path_id] = True
-                path_edges.append((child, edge))
-            edges[path_id] = tuple(path_edges)
-        cache = (roots, sizes, prs, edges, self_invalid)
-        # Tag with the version captured *before* the build: if a writer
-        # bumped mid-build the slot is immediately stale and rebuilt.
-        self._query_cache = (version, cache)
-        return cache
+        if self._fill_on_read:
+            self.fill_all_query_paths()
+        return self._query_cols.columns()
+
+    def fill_query_words(self, words: Iterable[str]) -> None:
+        """Box the paths every posting of ``words`` reaches.
+
+        O(postings of the words) the first time; free once covered (a
+        word is scanned again only after it gained postings, and then
+        boxes only its new paths).
+        """
+        posting_ids = self._posting_ids
+        self._query_cols.fill_words(self, [
+            (word, ids, self.num_postings(word))
+            for word in words
+            if (ids := posting_ids.get(word)) is not None
+        ])
+
+    def fill_query_paths(self, path_ids: Iterable[int]) -> None:
+        """Box the given paths' slots (the id-only wrappers' fill)."""
+        self._query_cols.fill_paths(self, path_ids)
+
+    def fill_all_query_paths(self) -> None:
+        """Box every path's slots — a range fill, no posting scan."""
+        self._query_cols.fill_range(self)
+
+    @property
+    def query_paths_boxed(self) -> int:
+        """Query-column slots boxed so far (laziness instrumentation)."""
+        return self._query_cols.boxed
 
     def release_query_columns(self) -> None:
-        """Drop the query-acceleration columns (rebuilt lazily on demand).
+        """Drop the query-acceleration columns (refilled on demand).
 
-        The cache trades resident memory for query speed and persists
+        The columns trade resident memory for query speed and persist
         after the first query; long-lived processes that query rarely can
-        call this to reclaim it — the next query pays one rebuild.  The
-        aggregate bound columns (:meth:`bound_columns`) are dropped with
-        it: they are derived from the same boxed path columns.
+        call this to reclaim them.  Contexts built on this store before
+        the release filled the dropped set, so they must not be reused:
+        their next hot-loop read raises.  Snapshots taken before it keep
+        the set they share.  The aggregate bound columns
+        (:meth:`bound_columns`) are dropped with them.
         """
-        self._query_cache = None
+        columns = QueryColumns()
+        columns._grow(self.num_paths)  # placeholders, so such reads say why
+        self._query_cols = columns
         self._bound_cache = None
 
     def warm_query_caches(self) -> None:
-        """Build the query-acceleration and bound columns now.
+        """Fill every path's query columns and build the bound columns now.
 
-        Live-store twin of :meth:`StoreSnapshot.warm_query_caches`: shard
-        worker processes call it once at pool start so every later query
-        finds the one-time per-version builds already done.
+        Live-store twin of :meth:`StoreSnapshot.warm_query_caches`: fork
+        pools call it once before forking so every worker inherits the
+        boxed columns instead of filling its own.
         """
         self.finalize()
-        self._query_columns()
+        self.fill_all_query_paths()
         self.bound_columns()
 
     def path_columns(self) -> Tuple[List[int], List[float]]:
         """``(sizes, prs)`` boxed per-path columns for bound arithmetic.
 
-        The same lists the query-acceleration cache holds (built lazily,
-        version-guarded); exposed so the bound-driven enumeration loops
-        can accumulate partial subtree sums without re-boxing array
+        The same lists the query columns hold (read as filled, see
+        :meth:`_query_columns`); exposed so the bound-driven enumeration
+        loops can accumulate partial subtree sums without re-boxing array
         elements per access.
         """
         _roots, sizes, prs, _edges, _self_invalid = self._query_columns()
@@ -695,10 +891,10 @@ class PostingStore:
         these into admissible upper bounds on subtree and pattern scores
         (see ``docs/pruning.md``).
 
-        Cached like the query-acceleration columns: built lazily on the
-        first pruning query, version-guarded, so any mutation
-        (:meth:`append_path` / :meth:`add_posting`) invalidates it.  Cost
-        is one pass over the posting columns; size is one tuple per index
+        Built lazily on the first pruning query and version-guarded, so
+        any mutation (:meth:`append_path` / :meth:`add_posting`)
+        invalidates it.  Cost is one pass over the posting columns (after
+        a range fill of the query columns); size is one tuple per index
         leaf plus one per ``(word, root)`` group.
         """
         slot = self._bound_cache
@@ -706,6 +902,7 @@ class PostingStore:
         if slot is not None and slot[0] == version:
             return slot[1]
         self.finalize()
+        self.fill_all_query_paths()
         _roots, sizes, prs, _edges, _self_invalid = self._query_columns()
         root_bounds: Dict[str, Dict[NodeId, tuple]] = {}
         pattern_bounds: Dict[str, Dict[PatternId, Dict[NodeId, tuple]]] = {}
@@ -762,7 +959,9 @@ class PostingStore:
             root_bounds[word] = word_root
             pattern_bounds[word] = word_pat
         cache = (root_bounds, pattern_bounds)
-        self._bound_cache = (version, cache)  # see _query_columns tagging
+        # Tagged with the version captured *before* the build: if a writer
+        # bumped mid-build the slot is immediately stale and rebuilt.
+        self._bound_cache = (version, cache)
         return cache
 
     def form_tree(self, path_ids: Sequence[int]) -> bool:
@@ -773,8 +972,10 @@ class PostingStore:
         share the root, no node acquires two distinct parent edges, and no
         edge re-enters the root.  A convenience wrapper over
         :meth:`pairs_checker` (the hot loops' form, and the single
-        implementation of the rule) for id-only callers.
+        implementation of the rule) for id-only callers; fills the ids
+        it is given.
         """
+        self.fill_query_paths(path_ids)
         return self.pairs_checker()([(path_id, 0.0) for path_id in path_ids])
 
     def pairs_checker(self):
@@ -783,9 +984,10 @@ class PostingStore:
         Same rule as :meth:`form_tree`, specialized for the enumeration
         loop's native shape: the cross product yields pair combinations,
         so no id tuple is built per combination, and the returned closure
-        is bound to the query-acceleration columns so the loop pays no
-        per-call column lookup.  Fetch once per enumeration run; the
-        closure is valid until the store's next mutation.
+        is bound to the query columns so the loop pays no per-call column
+        lookup.  Fetch once per enumeration run.  It reads only filled
+        slots (:meth:`fill_query_words`); the columns only grow, so the
+        closure stays valid across mutations.
         """
         roots, _sizes, _prs, edges, self_invalid = self._query_columns()
 
@@ -819,8 +1021,9 @@ class PostingStore:
         convenience wrapper over :meth:`pairs_scorer` (the hot loops'
         form, and the single implementation of the sums — identical float
         order to the entry-based helper, so scores are bit-identical
-        across the two pipelines).
+        across the two pipelines).  Fills the ids it is given.
         """
+        self.fill_query_paths(path_ids)
         return self.pairs_scorer()(list(zip(path_ids, sims)))
 
     def pairs_scorer(self):
@@ -874,9 +1077,10 @@ class PostingStore:
         current generation under :attr:`lock` (so it cannot observe a
         half-applied incremental update); it costs a few dict copies, not
         a data copy.  Writers proceed normally afterwards — they bump
-        :attr:`version`, and version-guarded caches (query columns, bound
-        columns, and every service-level cache keyed by ``version``)
-        invalidate, while existing snapshots stay coherent.
+        :attr:`version`, and version-guarded caches (bound columns and
+        every service-level cache keyed by ``version``) invalidate, while
+        existing snapshots stay coherent.  The query columns need no
+        guard: snapshots fill the live store's append-only set.
         """
         with self.lock:
             self.finalize()
@@ -1055,9 +1259,11 @@ class StoreSnapshot:
     :class:`PostingStore`'s own code bound to state captured at snapshot
     time — pinned ``version``/``num_paths``, the finalized view dicts,
     shallow copies of the posting-column dicts — so the two code paths
-    cannot drift.  The query-acceleration and bound columns are carried
-    over when already built for the pinned version, or built lazily over
-    the pinned state (never the live store's moving columns).
+    cannot drift.  The query columns are the live store's own
+    :class:`QueryColumns`, filled from the pinned postings (bounded by
+    the pinned counts).  The bound columns are carried over when already
+    built for the pinned version, or built lazily over the pinned state
+    (never the live store's moving columns).
 
     Mutators raise :class:`~repro.core.errors.PathIndexError`; anything
     else (entry materialization, the counters it feeds) delegates to the
@@ -1091,12 +1297,14 @@ class StoreSnapshot:
         self._pattern_view = store._pattern_view
         self._root_view = store._root_view
         self._root_counts = store._root_counts
-        # Derived caches: adopt when fresh, else rebuild over pinned
-        # state.  Each slot is a (version, cache) tuple read atomically.
-        slot = store._query_cache
-        self._query_cache = (
-            slot if slot is not None and slot[0] == store.version else None
-        )
+        # Query columns: the live store's own append-only set, filled
+        # through the borrowed methods below from the pinned postings,
+        # counts (num_postings), path columns and num_paths — a writer
+        # growing the shared arrays meanwhile is never observed.
+        self._query_cols = store._query_cols
+        self._fill_on_read = False
+        # Bound columns: adopt when fresh, else rebuild over pinned state.
+        # The slot is a (version, cache) tuple read atomically.
         slot = store._bound_cache
         self._bound_cache = (
             slot if slot is not None and slot[0] == store.version else None
@@ -1121,6 +1329,10 @@ class StoreSnapshot:
     path_sort_key = PostingStore.path_sort_key
     matched_node = PostingStore.matched_node
     path_columns = PostingStore.path_columns
+    _query_columns = PostingStore._query_columns
+    fill_query_words = PostingStore.fill_query_words
+    fill_query_paths = PostingStore.fill_query_paths
+    fill_all_query_paths = PostingStore.fill_all_query_paths
     pairs_checker = PostingStore.pairs_checker
     pairs_scorer = PostingStore.pairs_scorer
     form_tree = PostingStore.form_tree
@@ -1151,53 +1363,42 @@ class StoreSnapshot:
     def finalize(self) -> None:
         """No-op: a snapshot is finalized by construction."""
 
-    def _build_and_donate(self, builder, cache_attr: str) -> tuple:
-        """Build a derived cache over pinned state, donating it back.
+    def bound_columns(self) -> tuple:
+        """Pinned aggregate bound columns, donated back on first build.
 
-        Runs the borrowed ``builder`` (a :class:`PostingStore` method)
-        over the snapshot's pinned state; if this was a fresh build and
-        the live store has not moved past the pinned version, the
-        ``(version, cache)`` slot is written back in one atomic
-        assignment so the *next* snapshot (and forked batch workers,
-        which inherit the parent's heap) adopt it instead of rebuilding.
-        Because version tag and cache object travel in one tuple, a
-        live-store reader racing the donation either sees the whole
-        donated slot or the previous one — never a mixed pair.
+        Runs the borrowed :meth:`PostingStore.bound_columns` over the
+        snapshot's pinned state; if this was a fresh build and the live
+        store has not moved past the pinned version, the ``(version,
+        cache)`` slot is written back in one atomic assignment so the
+        *next* snapshot (and forked batch workers, which inherit the
+        parent's heap) adopt it instead of rebuilding.  Because version
+        tag and cache object travel in one tuple, a live-store reader
+        racing the donation either sees the whole donated slot or the
+        previous one — never a mixed pair.
         """
-        had = getattr(self, cache_attr)
+        had = self._bound_cache
         fresh = had is not None and had[0] == self.version
-        cache = builder(self)
+        cache = PostingStore.bound_columns(self)
         if not fresh:
             store = self._store
-            live = getattr(store, cache_attr)
+            live = store._bound_cache
             if (
                 (live is None or live[0] != store.version)
                 and store.version == self.version
             ):
-                setattr(store, cache_attr, (self.version, cache))
+                store._bound_cache = (self.version, cache)
         return cache
 
-    def _query_columns(self) -> tuple:
-        """Pinned query-acceleration columns, donated back on first build."""
-        return self._build_and_donate(
-            PostingStore._query_columns, "_query_cache"
-        )
-
-    def bound_columns(self) -> tuple:
-        """Pinned aggregate bound columns, donated back on first build."""
-        return self._build_and_donate(
-            PostingStore.bound_columns, "_bound_cache"
-        )
-
     def warm_query_caches(self) -> None:
-        """Build the query-acceleration and bound columns now.
+        """Fill every pinned path's query columns and build the bound
+        columns now.
 
         Batch drivers call this once before fanning out workers so the
-        one-time per-snapshot builds are not raced by every thread (a
-        benign but wasteful duplication) or repeated inside every forked
-        worker (a real serial cost per child).
+        one-time fills are not raced by every thread (a benign but
+        wasteful duplication) or repeated inside every forked worker (a
+        real serial cost per child).
         """
-        self._query_columns()
+        self.fill_all_query_paths()
         self.bound_columns()
 
     def num_postings(self, word: Optional[str] = None) -> int:
@@ -1213,7 +1414,8 @@ class StoreSnapshot:
         return self._store.make_entry(path_id, sim)
 
     def release_query_columns(self) -> None:
-        self._query_cache = None
+        """Drop the pinned bound columns; the query columns belong to the
+        live store (release them there)."""
         self._bound_cache = None
 
     def snapshot(self) -> "StoreSnapshot":

@@ -79,6 +79,9 @@ class EnumerationContext:
         self.indexes: Optional[PathIndexes] = indexes
         self.words: Tuple[str, ...] = indexes.resolve_query(query)
         self.store: PostingStore = indexes.store
+        # Box the query columns the hot loops will read, once per context
+        # (free when the words are already covered).
+        self.store.fill_query_words(self.words)
         self._root_maps: Optional[List[Mapping[NodeId, RootPatternMap]]] = None
         self._candidates: Optional[List[NodeId]] = candidate_roots
         self._by_type: Optional[Dict[TypeId, List[NodeId]]] = None

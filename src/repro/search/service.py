@@ -12,8 +12,7 @@ makes concurrent serving safe while the incremental index mutates:
 * **snapshot tier** — every request executes against a version-pinned
   :meth:`~repro.index.builder.PathIndexes.snapshot`; a writer bumping
   ``store.version`` triggers a new snapshot and flushes every cache
-  below, exactly like the store's own query-acceleration and bound
-  columns invalidate;
+  below, exactly like the store's own bound columns invalidate;
 * **term-resolution tier** — query text -> resolved keywords, shared
   with the engine through the index's
   :class:`~repro.index.builder.TermResolutionCache`;

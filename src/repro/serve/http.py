@@ -76,6 +76,17 @@ def _error_body(status: int, message: str) -> bytes:
                        "status": status, "message": message})
 
 
+def _content_length(headers: Dict[str, str]) -> Optional[int]:
+    """The request body's length; ``None`` unless the header is absent,
+    empty, or a plain non-negative decimal integer."""
+    raw = headers.get("content-length", "")
+    if not raw:
+        return 0
+    if not (raw.isascii() and raw.isdigit()):
+        return None
+    return int(raw)
+
+
 class HttpSearchServer:
     """The serving tier: one event loop, one worker pool, one service.
 
@@ -185,7 +196,14 @@ class HttpSearchServer:
                         break
                     name, _, value = line.decode("latin-1").partition(":")
                     headers[name.strip().lower()] = value.strip()
-                body_length = int(headers.get("content-length", 0) or 0)
+                body_length = _content_length(headers)
+                if body_length is None:
+                    await self._write_response(
+                        writer, 400,
+                        _error_body(400, "invalid Content-Length"),
+                        keep_alive=False,
+                    )
+                    break
                 if body_length:
                     await reader.readexactly(body_length)
 

@@ -569,9 +569,10 @@ ShardedSearchService.from_file>`)."""
                 if sharded is None or sharded.store_version != version:
                     sharded = partition_indexes(snap, self.num_shards)
             # Warm in the parent, once, before the fork: every worker
-            # inherits the built query/bound columns copy-on-write
-            # (mapped stores stay lazy — columns build per queried word
-            # and are never thawed by warming).
+            # inherits the boxed query columns (a range fill over every
+            # path) and bound columns copy-on-write.  Mapped stores keep
+            # their bound columns lazy per word and are never thawed by
+            # warming.
             snap.store.warm_query_caches()
             if sharded is not None:
                 for shard in sharded.shards:

@@ -28,6 +28,12 @@ IMDB_TEST_CONFIG = ImdbConfig(
 )
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a test that takes seconds rather than milliseconds"
+    )
+
+
 @pytest.fixture(scope="session")
 def example_bundle():
     """(graph, name->node map, indexes) for the Figure 1 example.

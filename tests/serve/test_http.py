@@ -11,6 +11,7 @@ fact, not a timing hope.
 
 import http.client
 import json
+import socket
 import threading
 
 import pytest
@@ -41,6 +42,20 @@ def post(address, path, timeout=30):
     body = response.read()
     conn.close()
     return response.status, body
+
+
+def raw_exchange(address, request: bytes, timeout=30) -> bytes:
+    """Send raw request bytes; return everything read until the server
+    closes the connection."""
+    host, _, port = address.partition(":")
+    with socket.create_connection((host, int(port)), timeout=timeout) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
 
 
 class GatedSearch:
@@ -116,6 +131,25 @@ class TestRouting:
             status, body, _ = get(server.address, path)
             assert status == 400, path
             assert json.loads(body)["status"] == 400
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "+5", "1.5"])
+    def test_invalid_content_length_400_and_close(self, server, length):
+        """A Content-Length that is not a non-negative decimal integer is
+        answered 400 and the connection closed — never dropped without a
+        response."""
+        response = raw_exchange(
+            server.address,
+            (
+                "POST /admin/invalidate HTTP/1.1\r\nHost: test\r\n"
+                f"Content-Length: {length}\r\n\r\n"
+            ).encode("latin-1"),
+        )
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 "), response
+        assert b"Connection: close" in head
+        assert json.loads(body)["message"] == "invalid Content-Length"
+        status, _, _ = get(server.address, "/healthz")
+        assert status == 200
 
     def test_unknown_route_404(self, server):
         status, body, _ = get(server.address, "/nope")

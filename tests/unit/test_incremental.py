@@ -61,6 +61,37 @@ class TestAddEntity:
         assert result.num_answers == 1
         assert result.answers[0].subtrees[0][0].nodes == (node,)
 
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            ({"type_name": 7, "text": "fine"}, TypeError),
+            ({"type_name": "Person", "text": 42}, TypeError),
+            ({"type_name": "Person", "text": b"bytes"}, TypeError),
+            ({"type_name": "Person", "text": "x", "pagerank": "0.1"},
+             TypeError),
+            ({"type_name": "Person", "text": "x", "pagerank": True},
+             TypeError),
+            ({"type_name": "Person", "text": "x", "pagerank": float("nan")},
+             ValueError),
+            ({"type_name": "Person", "text": "x", "pagerank": float("inf")},
+             ValueError),
+        ],
+    )
+    def test_bad_arguments_change_nothing(self, base, kwargs, error):
+        """Validation runs before the graph is touched: a rejected call
+        leaves no orphan node, PageRank entry or version bump."""
+        graph, indexes, _software, _company = base
+        nodes = graph.num_nodes
+        ranks = len(indexes.pagerank_scores)
+        version = indexes.store.version
+        entries = entry_set(indexes)
+        with pytest.raises(error):
+            add_entity(indexes, **kwargs)
+        assert graph.num_nodes == nodes
+        assert len(indexes.pagerank_scores) == ranks
+        assert indexes.store.version == version
+        assert entry_set(indexes) == entries
+
 
 class TestAddRelationship:
     def test_matches_full_rebuild(self, base):

@@ -51,8 +51,8 @@ bundle (save → load, so workers inherit shard pages copy-free):
   the pool healed to W workers, and graceful drain completes with a
   freshly killed worker left in the pool;
 * **sharded HTTP** — ``--shards``-composed backends under concurrent
-  load: the sharded thread service and the pooled+sharded service both
-  divergence-checked, shard counters visible in ``/metrics``;
+  load: the in-process sharded service and the pooled+sharded service
+  both divergence-checked, shard counters visible in ``/metrics``;
 * **mutation under the pool** — an ``add_entity`` stream into the
   parent's delta overlay forces a version-bumped pool rebuild (workers
   inherit the overlay copy-on-write), then compaction re-maps a fresh
@@ -558,7 +558,6 @@ def run_fork(profile_name: str, k: int, out_path: str) -> int:
 
     from repro.index.mmapstore import MappedPostingStore
     from repro.index.serialize import load_indexes, save_indexes
-    from repro.search.sharding import ShardedSearchService
     from repro.serve.pool import PooledSearchService
 
     profile = PROFILES[profile_name]
@@ -715,7 +714,7 @@ def run_fork(profile_name: str, k: int, out_path: str) -> int:
 
     # ---- sharded composition under concurrent load -------------------
     sharded_server = start_http_server(
-        ShardedSearchService(indexes, num_shards=shards),
+        SearchService(indexes, num_shards=shards),
         max_queue=512, workers=workers,
     )
     sharded_load = run_open_loop(

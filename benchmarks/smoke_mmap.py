@@ -18,7 +18,7 @@ genuinely cold for the process:
 * **oracle gate** — all four algorithms (PETopK, exact LINEARENUM-TOPK,
   sampled LETopK, baseline) replayed over the mapped bundle must be
   bit-identical (scores, pattern keys, subtree rows) to the in-memory
-  build, unsharded and through a ``ShardedSearchService`` over a v3
+  build, unsharded and through a sharded ``SearchService`` over a v3
   sharded file at K in {2, 4} (smallest scale point);
 * **serving** — p50/p95 over a Zipfian-popularity request stream
   (``zipfian_requests``) served by a ``SearchService`` on the mapped
@@ -56,7 +56,6 @@ from repro.index.shards import partition_indexes
 from repro.index.serialize import save_sharded_indexes
 from repro.search.engine import TableAnswerEngine
 from repro.search.service import SearchService
-from repro.search.sharding import ShardedSearchService
 
 PROFILES = {
     # CI configuration; the 4000-entity point is "the largest smoke
@@ -104,7 +103,17 @@ def _cold_load_child(conn, path, query, k):
     Runs in a fresh process so nothing is pre-deserialized and the
     laziness counters start at zero.
     """
+    import gc
+
     from repro.index.mmapstore import MappedPostingStore
+
+    # The fork inherits this bench process's heap (every index built so
+    # far).  A full collection walking it is a cost a freshly started
+    # process never pays, and whether one lands inside the timed load
+    # depends only on the parent's allocation history (~300 ms at 4000
+    # entities).  Freezing puts the inherited objects out of the
+    # collector's reach, as they would be in a cold process.
+    gc.freeze()
 
     # Class counters are cumulative and inherited through fork; everything
     # this child reports is the delta from its own start.
@@ -192,13 +201,13 @@ def oracle_gate(indexes, loaded, queries, k):
 
 
 def sharded_gate(indexes, queries, k, tmp_dir):
-    """v3 sharded file served through the fork-worker pool vs oracle."""
+    """v3 sharded file served through its stored partition vs oracle."""
     oracle = TableAnswerEngine(indexes.graph, indexes=indexes)
     divergences = []
     for num_shards in SHARD_COUNTS:
         path = Path(tmp_dir) / f"sharded_{num_shards}.idx"
         save_sharded_indexes(partition_indexes(indexes, num_shards), path)
-        service = ShardedSearchService.from_file(path)
+        service = SearchService.from_file(path)
         try:
             for query in queries:
                 for algorithm in ALGORITHMS:

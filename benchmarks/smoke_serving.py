@@ -11,7 +11,8 @@ the way a service sees traffic (queries repeat):
   CPU-bound execution, so thread QPS measures overhead + cache sharing,
   not parallelism — the honest number is printed either way);
 * **batch QPS at 1/4/8 fork workers** — the genuinely parallel path
-  (``processes=``, ``keep_subtrees=False``);
+  (a ``PooledSearchService`` driven by one batch thread per worker,
+  ``keep_subtrees=False``);
 * **cache hit rates** from ``ServiceStats``.
 
 Emits ``BENCH_4.json`` and **fails (exit 1) if any served result — warm,
@@ -37,6 +38,7 @@ from repro.index.builder import build_indexes
 from repro.search.engine import TableAnswerEngine
 from repro.search.linear_enum import count_answers
 from repro.search.service import SearchService
+from repro.serve.pool import PooledSearchService
 
 PROFILES = {
     # ~seconds in CI; mirrors the BENCH_3 smoke graph.
@@ -156,13 +158,21 @@ def run(profile_name: str, k: int, out_path: str) -> int:
     ]
 
     def batch_run(threads=0, processes=0):
-        service.invalidate()
-        service.stats = type(service.stats)()  # fresh counters per config
-        kwargs = {"threads": threads, "processes": processes}
         if processes:
-            kwargs["keep_subtrees"] = False
+            # A fresh fork pool (fresh caches and counters), forked
+            # inside the timed region like a per-batch pool would be.
+            target = PooledSearchService(indexes, processes=processes)
+            kwargs = {"threads": processes, "keep_subtrees": False}
+        else:
+            target = service
+            target.invalidate()
+            target.stats = type(target.stats)()  # fresh counters per config
+            kwargs = {"threads": threads}
         started = time.perf_counter()
-        results = service.search_many(stream, k=k, **kwargs)
+        try:
+            results = target.search_many(stream, k=k, **kwargs)
+        finally:
+            target.close()
         elapsed = time.perf_counter() - started
         for query, result in zip(stream, results):
             if processes:
@@ -180,8 +190,8 @@ def run(profile_name: str, k: int, out_path: str) -> int:
             "queries": len(stream),
             "seconds": elapsed,
             "qps": len(stream) / elapsed if elapsed > 0 else None,
-            "result_hit_rate": service.stats.result_hit_rate(),
-            "deduped": service.stats.batch_deduped,
+            "result_hit_rate": target.stats.result_hit_rate(),
+            "deduped": target.stats.batch_deduped,
         }
 
     thread_runs = {n: batch_run(threads=n) for n in (1, 4, 8)}

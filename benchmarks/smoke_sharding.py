@@ -1,11 +1,11 @@
-"""BENCH_5: sharded scatter–gather serving — work reduction + exactness.
+"""BENCH_5: sharded execution — work reduction + exactness.
 
 Partitions the wiki synthetic (d=3) posting store into K shards by root
 type (pattern-containment partitioning, see ``docs/sharding.md``), serves
 the same heavy 1-3 keyword workload BENCH_3/BENCH_4 use through a
-:class:`ShardedSearchService` worker pool, and measures **bound-driven
-shard skipping**: how much posting work the per-shard score upper bounds
-prove away before a shard is ever sent the query.
+``SearchService(num_shards=K)``, and measures **bound-driven shard
+skipping**: how much posting work the per-shard score upper bounds prove
+away before a shard is ever run.
 
 Per shard count K in {2, 4, 7}, each query runs at the report ``k`` and
 at ``k=1`` (tight thresholds are where skipping bites):
@@ -41,7 +41,7 @@ from repro.index.shards import partition_indexes
 from repro.search.context import EnumerationContext
 from repro.search.engine import TableAnswerEngine
 from repro.search.linear_enum import count_answers
-from repro.search.sharding import ShardedSearchService
+from repro.search.service import SearchService
 
 SHARD_COUNTS = (2, 4, 7)
 
@@ -136,10 +136,10 @@ def run(profile_name: str, k: int, out_path: str) -> int:
 
     for num_shards in SHARD_COUNTS:
         sharded = partition_indexes(indexes, num_shards)
-        dispatched = skipped = failovers = 0
+        dispatched = skipped = 0
         work_total = work_avoided = 0
         latencies = []
-        with ShardedSearchService(
+        with SearchService(
             indexes, num_shards=num_shards, sharded=sharded
         ) as service:
             for query in queries:
@@ -165,7 +165,6 @@ def run(profile_name: str, k: int, out_path: str) -> int:
                     stats = result.stats
                     dispatched += len(stats.shard_dispatch_order)
                     skipped += stats.shards_skipped
-                    failovers += stats.shard_failovers
                     work_total += query_work
                     skipped_ids = set(range(num_shards)) - set(
                         stats.shard_dispatch_order
@@ -179,7 +178,6 @@ def run(profile_name: str, k: int, out_path: str) -> int:
             "searches": len(queries) * len(k_values),
             "shards_dispatched": dispatched,
             "shards_skipped": skipped,
-            "shard_failovers": failovers,
             "postings_work_total": work_total,
             "postings_work_avoided": work_avoided,
             "work_reduction": (

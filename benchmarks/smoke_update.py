@@ -44,7 +44,7 @@ from repro.index.serialize import (
     save_indexes,
 )
 from repro.search.engine import TableAnswerEngine
-from repro.search.sharding import ShardedSearchService
+from repro.search.service import SearchService
 
 from smoke_mmap import (
     ALGORITHMS,
@@ -230,7 +230,7 @@ def run(profile_name, k, out_path, keep_dir=None):
         "cold-reload", oracle_engine, cold_engine, queries, k
     )
     for num_shards in SHARD_COUNTS:
-        service = ShardedSearchService(reloaded, num_shards=num_shards)
+        service = SearchService(reloaded, num_shards=num_shards)
         try:
             divergences += parity_divergences(
                 f"sharded-{num_shards}", oracle_engine, service, queries, k

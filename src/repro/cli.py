@@ -121,17 +121,18 @@ def _format_cold_start(service) -> str:
 def _format_backend(service, http_workers=None) -> str:
     """One line on which execution spine answers cache-miss queries."""
     stats = service.stats
-    if stats.execution_backend != "inline":
+    if stats.execution_workers:
         return (
             f"execution backend: {stats.execution_backend} "
             f"({stats.execution_workers} workers)"
         )
     if http_workers is not None:
-        return (
-            f"execution backend: threads ({http_workers} executor "
-            "threads, GIL-bound)"
-        )
-    return "execution backend: inline (single process)"
+        spine = f"threads ({http_workers} executor threads, GIL-bound)"
+    else:
+        spine = "inline (single process)"
+    if service.num_shards:
+        spine = f"sharded ({service.num_shards} shards), {spine}"
+    return f"execution backend: {spine}"
 
 
 #: Search algorithms whose hot loops take the ``prune`` switch (the
@@ -164,8 +165,6 @@ def _explain_pruning(stats) -> str:
             f"(skipped={stats.shards_skipped}, "
             f"order={list(stats.shard_dispatch_order)})"
         )
-        if stats.shard_failovers:
-            line += f" failovers={stats.shard_failovers}"
         lines.append(line)
     if stats.threshold_first is not None:
         lines.append(
@@ -226,11 +225,10 @@ def _make_service(
     args: argparse.Namespace, pool_processes: Optional[int] = None
 ) -> SearchService:
     """The service a command serves through: a fork-pool service when
-    ``serve --processes`` asks for it (optionally composed with
-    ``--shards`` — each fork worker runs the sharded merge loop
-    inline), sharded when ``--shards`` alone asks for it, the plain
-    single-store service otherwise (a sharded index file still loads —
-    its base bundle is a complete index)."""
+    ``--processes`` asks for it, the in-process service otherwise —
+    either one sharded when ``--shards`` asks for it (a stored partition
+    with the same K is reused; without ``--shards`` a sharded index file
+    still loads unsharded — its base bundle is a complete index)."""
     shards = getattr(args, "shards", None)
     if shards is not None and shards < 1:
         raise SearchError(f"--shards must be >= 1, got {shards}")
@@ -244,11 +242,7 @@ def _make_service(
         return PooledSearchService.from_file(
             args.index, processes=pool_processes, num_shards=shards or 0
         )
-    if shards is not None:
-        from repro.search.sharding import ShardedSearchService
-
-        return ShardedSearchService.from_file(args.index, num_shards=shards)
-    return SearchService.from_file(args.index)
+    return SearchService.from_file(args.index, num_shards=shards or 0)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -493,14 +487,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not uniform:
         return _batch_replay(args, requests)
     queries = [request.query for request in requests]
-    if args.processes and getattr(args, "shards", None):
-        print(
-            "error: --processes and --shards are mutually exclusive: the "
-            "shard worker pool is the sharded service's parallel path",
-            file=sys.stderr,
-        )
-        return 2
-    service = _make_service(args)
+    # --processes N drives the fork pool from N batch threads (each
+    # thread owns one worker); --threads still overrides the width.
+    service = _make_service(args, pool_processes=args.processes or None)
     params = _search_params(args)
     if args.no_subtrees:
         params["keep_subtrees"] = False
@@ -510,8 +499,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             queries,
             k=args.k,
             algorithm=args.algorithm,
-            threads=args.threads,
-            processes=args.processes,
+            threads=args.threads or args.processes,
             **params,
         )
     finally:
@@ -687,10 +675,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_shards_flag(sub) -> None:
         sub.add_argument(
             "--shards", type=int, default=None, metavar="K",
-            help="serve through a K-shard scatter-gather worker pool "
-            "with bound-driven shard skipping (bit-identical answers; "
-            "a file written with a stored partition reuses it when K "
-            "matches)",
+            help="partition the store into K shards and run each query "
+            "best-bound-first over them, skipping shards whose score "
+            "bound cannot reach the top k (bit-identical answers; a file "
+            "written with a stored partition reuses it when K matches)",
         )
 
     search = commands.add_parser("search", help="answer a keyword query")
@@ -752,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="execute cache-miss searches on N long-lived pre-warmed "
         "fork workers instead of the GIL-bound executor threads "
         "(multi-core serving over copy-free mmap pages; composes with "
-        "--shards: each worker runs the sharded merge loop inline; "
+        "--shards: each worker runs the sharded merge loop in process; "
         "bit-identical answers, inline failover on worker death)",
     )
     serve.set_defaults(handler=_cmd_serve)
@@ -776,8 +764,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--processes", type=int, default=0,
-        help="fork-pool size for parallel execution (0 = off; kept "
-        "subtree rows cross back as portable PathEntry tuples)",
+        help="execute on N long-lived fork workers, driven by N batch "
+        "threads (0 = off; composes with --shards; kept subtree rows "
+        "cross back as portable PathEntry tuples)",
     )
     batch.add_argument(
         "--no-subtrees", action="store_true",

@@ -66,6 +66,20 @@ def _check_entity_args(
         raise ValueError(f"pagerank must be finite, got {pagerank!r}")
 
 
+def _check_relationship_args(source, attr_name, target) -> None:
+    """Reject :func:`add_relationship` arguments that would fail (or
+    poison the lexicon) mid-update."""
+    for label, node in (("source", source), ("target", target)):
+        if isinstance(node, bool) or not isinstance(node, int):
+            raise TypeError(
+                f"{label} must be an int node id, not {type(node).__name__}"
+            )
+    if not isinstance(attr_name, str):
+        raise TypeError(
+            f"attr_name must be a str, not {type(attr_name).__name__}"
+        )
+
+
 def add_entity(
     indexes: PathIndexes,
     type_name: str,
@@ -114,8 +128,12 @@ def add_relationship(
     """Add edge ``source -attr-> target`` and index every new path.
 
     Returns the number of new path postings inserted.  Both endpoints must
-    already exist (add them with :func:`add_entity` first).
+    already exist (add them with :func:`add_entity` first).  Arguments are
+    validated before anything changes: a bad one raises ``TypeError`` or
+    :class:`~repro.core.errors.PathIndexError` with the graph, lexicon
+    and store untouched.
     """
+    _check_relationship_args(source, attr_name, target)
     graph = indexes.graph
     n = graph.num_nodes
     if not (0 <= source < n and 0 <= target < n):

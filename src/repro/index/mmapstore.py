@@ -2,7 +2,7 @@
 
 The v2 envelope deserializes every posting column into Python ``array``
 objects before the first query — cold start is O(index), and each forked
-shard worker pays it again in copies.  The v3 format
+pool worker pays it again in copies.  The v3 format
 (:mod:`repro.index.serialize`) lays the same columns out as flat
 fixed-width arrays in one file with an offset table; this module opens
 that file via :mod:`mmap` and exposes the columns as ``memoryview``

@@ -15,7 +15,7 @@ Three on-disk formats exist:
   via ``mmap`` (see :mod:`repro.index.mmapstore` and
   ``docs/index-format.md``).  Cold start is O(1): opening maps pages
   without reading them, and every column deserializes lazily, word by
-  word, on first query access.  Forked shard workers inherit the
+  word, on first query access.  Forked pool workers inherit the
   parent's mapping — shard pages are copy-free across the pool.
 * **FORMAT_VERSION 2** (written with ``version=2``, read transparently):
   a pickled envelope holding the columnar
@@ -369,7 +369,7 @@ def save_sharded_indexes(
     while :func:`load_sharded_indexes` restores the full partition
     without re-running :func:`repro.index.shards.partition_indexes`.
     In the v3 layout each shard's columns are distinct mapped extents of
-    the same file, so forked shard workers share one page cache copy.
+    the same file, so forked pool workers share one page cache copy.
     """
     _check_writable(version)
     if version == 2:

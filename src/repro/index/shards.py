@@ -26,11 +26,11 @@ copied columns preserve per-path values, and the shard store's own
 ``finalize()`` reproduces the global (pattern, root, path-lex) order
 restricted to the shard's paths.  A shard therefore computes *exact
 global* scores for its patterns with the unsharded float operation
-order, which is what makes the coordinator's merge a pure top-k union.
+order, which is what makes the sharded merge a pure top-k union.
 
 The hash is deliberately not Python's ``hash()`` (salted per process):
-workers, coordinator, and persisted shard files must all agree on the
-assignment across process boundaries and releases.
+pool workers, the serving parent, and persisted shard files must all
+agree on the assignment across process boundaries and releases.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ class ShardedIndexes:
     """One index bundle partitioned into pattern-disjoint shards.
 
     ``base`` is the unpartitioned bundle the shards were derived from
-    (live or snapshot); the coordinator keeps it for planning, bounds,
-    inline failover, and answer reconstruction.  Every shard is a full
+    (live or snapshot); the service keeps it for planning, bounds, and
+    answer reconstruction.  Every shard is a full
     :class:`~repro.index.builder.PathIndexes` over its own
     :class:`~repro.index.store.PostingStore`, sharing the base's graph,
     interner (so pattern ids are globally meaningful), lexicon, PageRank

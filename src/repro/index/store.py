@@ -1370,7 +1370,7 @@ class StoreSnapshot:
         snapshot's pinned state; if this was a fresh build and the live
         store has not moved past the pinned version, the ``(version,
         cache)`` slot is written back in one atomic assignment so the
-        *next* snapshot (and forked batch workers, which inherit the
+        *next* snapshot (and forked pool workers, which inherit the
         parent's heap) adopt it instead of rebuilding.  Because version
         tag and cache object travel in one tuple, a live-store reader
         racing the donation either sees the whole donated slot or the

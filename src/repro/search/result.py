@@ -132,17 +132,15 @@ class SearchStats:
     #: stamps a stats *copy*, so the cached original (whose counters
     #: describe the actual execution) is never mutated.
     from_result_cache: bool = False
-    #: Scatter–gather counters, written only by
-    #: :class:`~repro.search.sharding.ShardedSearchService` (all-zero on
-    #: single-store runs).  ``shards_skipped`` counts shards never sent
-    #: the query because their score upper bound fell below the running
-    #: k-th score; ``shard_dispatch_order`` is the best-bound-first visit
-    #: order; ``shard_failovers`` counts worker deaths recovered by
-    #: inline re-execution.
+    #: Sharded-execution counters, written only by
+    #: :func:`~repro.search.sharding.execute_sharded_plan` (all-zero on
+    #: single-store runs).  ``shards_skipped`` counts shards never run
+    #: because their score upper bound fell below the running k-th
+    #: score; ``shard_dispatch_order`` is the best-bound-first visit
+    #: order.
     shards_total: int = 0
     shards_skipped: int = 0
     shard_dispatch_order: Tuple[int, ...] = ()
-    shard_failovers: int = 0
 
     def format(self) -> str:
         parts = [f"{self.algorithm}: {self.elapsed_seconds * 1000:.1f} ms"]
@@ -169,8 +167,6 @@ class SearchStats:
                 f"shards={self.shards_total - self.shards_skipped}"
                 f"/{self.shards_total}"
             )
-            if self.shard_failovers:
-                parts.append(f"shard-failovers={self.shard_failovers}")
         if self.threshold_first is not None:
             parts.append(
                 f"kth={self.threshold_first:.6g}->{self.threshold_last:.6g}"

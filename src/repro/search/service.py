@@ -33,9 +33,15 @@ Batch execution (:meth:`SearchService.search_many`) plans every query
 up front, deduplicates equal plans, and executes the remainder on a
 thread pool over one shared snapshot (CPython threads interleave rather
 than parallelize CPU-bound work, but the shared snapshot and caches are
-what matter; pass ``processes=N`` on fork-capable platforms for true
-parallel execution — kept subtrees cross back as portable
-``PathEntry`` tuples).
+what matter; for true parallel execution drive a
+:class:`~repro.serve.pool.PooledSearchService` with threads — each
+thread then owns one fork worker).
+
+``num_shards=K`` partitions the store by root type and runs shardable
+plans through the bound-driven best-bound-first merge loop of
+:mod:`repro.search.sharding`, in process — answers stay bit-identical
+while shards whose score upper bound falls below the running k-th score
+are never scanned.
 
 Everything served is **bit-identical** to a cold
 ``TableAnswerEngine.search()`` — caches only ever short-circuit pure
@@ -54,6 +60,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.core.errors import SearchError, StalePlanError
 from repro.index.builder import PathIndexes, build_indexes
+from repro.index.shards import ShardedIndexes, partition_indexes
 from repro.kg.graph import KnowledgeGraph
 from repro.scoring.function import PAPER_DEFAULT, ScoringFunction
 from repro.search.context import EnumerationContext
@@ -64,6 +71,11 @@ from repro.search.plan import (
     reject_plan_overrides,
 )
 from repro.search.result import SearchResult
+from repro.search.sharding import (
+    execute_sharded_plan,
+    plan_shardable,
+    shard_upper_bounds,
+)
 
 
 @dataclass
@@ -101,9 +113,9 @@ class ServiceStats:
     #: bundle (0.0 when it was built in-process rather than loaded).
     load_seconds: float = 0.0
     #: Execution backend self-description: ``inline`` (plain service),
-    #: ``sharded`` (scatter–gather worker pool), or ``fork-pool`` /
-    #: ``fork-pool+sharded`` (the HTTP process-pool bridge).  Workers is
-    #: the configured parallel width (0 = no pool).
+    #: ``sharded`` (in-process partitioned execution), or ``fork-pool`` /
+    #: ``fork-pool+sharded`` (the process-pool bridge).  Workers is the
+    #: configured parallel width (0 = no pool).
     execution_backend: str = "inline"
     execution_workers: int = 0
     #: Pool-backed services: dead-worker inline failovers and
@@ -169,23 +181,6 @@ class ServiceStats:
         )
 
 
-#: Module global for fork-based batch execution: workers inherit the
-#: service (snapshot, caches, and all) through the forked address space;
-#: nothing is pickled on the way in.
-_FORK_SERVICE: Optional["SearchService"] = None
-
-
-def _fork_execute(plan: QueryPlan) -> SearchResult:
-    result = _FORK_SERVICE.execute(plan)
-    for answer in result.answers:
-        # Kept subtree combos are ComboRef views holding a store
-        # reference; materialize them to value-equal PathEntry tuples in
-        # the child — the same portable-row form the shard and HTTP fork
-        # pools ship — so the result can be pickled back to the parent.
-        answer.subtrees = [tuple(combo) for combo in answer.subtrees]
-    return result
-
-
 class SearchService:
     """Load once, serve many: cached, snapshot-consistent query serving."""
 
@@ -196,13 +191,34 @@ class SearchService:
         max_cached_results: int = 256,
         max_cached_contexts: int = 128,
         auto_compact_ratio: float = 0.0,
+        num_shards: int = 0,
+        sharded: Optional[ShardedIndexes] = None,
     ) -> None:
         if indexes.is_snapshot:
             raise SearchError(
                 "SearchService owns the live index bundle and takes its "
                 "own snapshots; pass the live PathIndexes, not a snapshot"
             )
+        if num_shards < 0:
+            raise SearchError(f"num_shards must be >= 0, got {num_shards}")
+        if sharded is not None:
+            if sharded.base is not indexes:
+                raise SearchError(
+                    "preloaded ShardedIndexes must wrap the same live "
+                    "bundle the service serves"
+                )
+            if num_shards and sharded.num_shards != num_shards:
+                raise SearchError(
+                    f"preloaded partition has {sharded.num_shards} shards, "
+                    f"service asked for {num_shards}"
+                )
+            num_shards = sharded.num_shards
         self.indexes = indexes
+        #: Shard count (0 = unsharded) and the partition cut for the
+        #: serving version — re-cut when the store moves, unless a
+        #: compaction handed over a fresh mapped one.
+        self.num_shards = num_shards
+        self._sharded = sharded
         self.scoring = scoring
         self.max_cached_results = max_cached_results
         self.max_cached_contexts = max_cached_contexts
@@ -217,7 +233,8 @@ class SearchService:
         #: queueing behind the O(index) streaming write.
         self._compact_lock = threading.Lock()
         self.stats = ServiceStats(
-            load_seconds=getattr(indexes, "load_seconds", 0.0)
+            load_seconds=getattr(indexes, "load_seconds", 0.0),
+            execution_backend="sharded" if num_shards else "inline",
         )
         #: Guards snapshot swaps and cache-structure mutations.  Never
         #: held across an execution — searches run lock-free against the
@@ -238,6 +255,13 @@ class SearchService:
         self._candidates: "OrderedDict[FrozenSet[str], Tuple[int, List[int]]]" = (
             OrderedDict()
         )
+        #: Per-shard score upper bounds per (words, scoring), shared
+        #: across k / algorithm / repeats; bounded like the context tier.
+        self._shard_uppers: "OrderedDict[Tuple, Tuple[int, List[float]]]" = (
+            OrderedDict()
+        )
+        #: Serializes partition cuts (O(index)); never held across a search.
+        self._partition_lock = threading.Lock()
 
     # ------------------------------------------------------------ lifecycle
 
@@ -248,11 +272,33 @@ class SearchService:
         return cls(build_indexes(graph, d=d, **kwargs), scoring=scoring)
 
     @classmethod
-    def from_file(cls, path, **kwargs) -> "SearchService":
-        """Load a persisted index bundle (``repro build``) and serve it."""
-        from repro.index.serialize import load_indexes
+    def from_file(
+        cls, path, num_shards: Optional[int] = None, **kwargs
+    ) -> "SearchService":
+        """Load a persisted index bundle (``repro build``) and serve it.
 
-        service = cls(load_indexes(path), **kwargs)
+        ``num_shards=None`` honors a partition stored in the file
+        (:func:`~repro.index.serialize.save_sharded_indexes`) and serves a
+        plain file unsharded; ``0`` always serves unsharded; ``K`` reuses
+        a stored K-shard partition and otherwise cuts one from the base
+        on first use.
+        """
+        from repro.core.errors import PathIndexError
+        from repro.index.serialize import load_indexes, load_sharded_indexes
+
+        sharded = None
+        if num_shards != 0:
+            try:
+                sharded = load_sharded_indexes(path)
+            except PathIndexError:
+                pass
+        if sharded is None:
+            service = cls(load_indexes(path), num_shards=num_shards or 0,
+                          **kwargs)
+        elif num_shards is not None and num_shards != sharded.num_shards:
+            service = cls(sharded.base, num_shards=num_shards, **kwargs)
+        else:
+            service = cls(sharded.base, sharded=sharded, **kwargs)
         service.index_path = Path(path)
         return service
 
@@ -277,16 +323,21 @@ class SearchService:
                 self.stats.bump(invalidations=1)
             self._snapshot = self.indexes.snapshot()
             self.stats.bump(snapshots_taken=1)
-            self._results.clear()
-            self._contexts.clear()
-            self._candidates.clear()
+            self._clear_caches()
             return self._snapshot
+
+    def _clear_caches(self) -> None:
+        """Flush every version-dependent tier (caller holds ``_lock``)."""
+        self._results.clear()
+        self._contexts.clear()
+        self._candidates.clear()
+        self._shard_uppers.clear()
 
     def close(self) -> None:
         """Release serving resources; a no-op here, overridden by
-        :class:`~repro.search.sharding.ShardedSearchService` (worker
-        pool).  Callers that may hold either flavor (the CLI) can call
-        it unconditionally."""
+        :class:`~repro.serve.pool.PooledSearchService` (worker pool).
+        Callers that may hold either flavor (the CLI) can call it
+        unconditionally."""
 
     def __enter__(self) -> "SearchService":
         return self
@@ -305,24 +356,10 @@ class SearchService:
             if self._snapshot is not None:
                 self.stats.bump(invalidations=1)
             self._snapshot = None
-            self._results.clear()
-            self._contexts.clear()
-            self._candidates.clear()
+            self._clear_caches()
         self.maybe_compact()
 
     # ----------------------------------------------------------- compaction
-
-    def _compact_shards(self) -> int:
-        """How many shards a compaction of this service should write
-        (overridden by the partitioned serving backends, so the
-        compacted file preserves their K and the fresh mapped partition
-        is adopted without a re-partition)."""
-        return 0
-
-    def _adopt_compaction(self, outcome: dict) -> None:
-        """Subclass hook: absorb the compaction outcome (e.g. adopt the
-        fresh mapped shard partition) before the version-guard protocol
-        rebuilds pools and caches."""
 
     def compact(self, path=None) -> dict:
         """Fold the mapped store's delta overlay into a fresh v3 file.
@@ -333,7 +370,9 @@ class SearchService:
         version bump rides the existing invalidation protocol: the next
         request re-snapshots and flushes every cache tier, and
         pool-backed services re-fork their workers from the re-mapped
-        generation — never from a heap copy.  Returns the compaction
+        generation — never from a heap copy.  A sharded service writes
+        its K into the file and adopts the fresh mapped partition, so
+        neither it nor a restart re-partitions.  Returns the compaction
         outcome ``{"bytes", "generation", "sharded"}``.
         """
         from repro.index.serialize import compact_indexes
@@ -345,9 +384,10 @@ class SearchService:
                 "loaded from a file (pass path=...)"
             )
         outcome = compact_indexes(
-            self.indexes, target, num_shards=self._compact_shards()
+            self.indexes, target, num_shards=self.num_shards
         )
-        self._adopt_compaction(outcome)
+        if outcome["sharded"] is not None:
+            self._sharded = outcome["sharded"]
         self.stats.bump(compactions=1)
         return outcome
 
@@ -457,9 +497,58 @@ TableAnswerEngine.search>`; on a result-cache hit the returned object
 
     def _execute_on(self, snap: PathIndexes, plan: QueryPlan) -> SearchResult:
         context = self._context_for(snap, plan)
-        result = execute_plan(snap, plan, context=context)
+        if self.num_shards and plan_shardable(plan):
+            sharded = self._partition(snap)
+            result = execute_sharded_plan(
+                snap,
+                plan,
+                sharded,
+                self._shard_bounds(snap, plan, context, sharded),
+                candidate_roots=len(context.candidate_roots),
+            )
+        else:
+            result = execute_plan(snap, plan, context=context)
         self._remember_candidates(plan, context)
         return result
+
+    def _partition(self, snap: PathIndexes) -> ShardedIndexes:
+        """The shard partition for the serving version: the preloaded or
+        compaction-adopted one while its version matches, else a fresh
+        cut of ``snap``."""
+        version = snap.store.version
+        sharded = self._sharded
+        if sharded is not None and sharded.store_version == version:
+            return sharded
+        with self._partition_lock:
+            sharded = self._sharded
+            if sharded is None or sharded.store_version != version:
+                sharded = partition_indexes(snap, self.num_shards)
+                self._sharded = sharded
+            return sharded
+
+    def _shard_bounds(
+        self,
+        snap: PathIndexes,
+        plan: QueryPlan,
+        context: EnumerationContext,
+        sharded: ShardedIndexes,
+    ) -> List[float]:
+        """:func:`~repro.search.sharding.shard_upper_bounds`, cached per
+        (words, scoring) under the serving version."""
+        key = (plan.words, plan.scoring)
+        version = snap.store.version
+        with self._lock:
+            slot = self._shard_uppers.get(key)
+            if slot is not None and slot[0] == version:
+                self._shard_uppers.move_to_end(key)
+                return slot[1]
+        uppers = shard_upper_bounds(sharded, context, plan.scoring)
+        with self._lock:
+            self._shard_uppers[key] = (version, uppers)
+            self._shard_uppers.move_to_end(key)
+            while len(self._shard_uppers) > self.max_cached_contexts:
+                self._shard_uppers.popitem(last=False)
+        return uppers
 
     def search_many(
         self,
@@ -468,7 +557,6 @@ TableAnswerEngine.search>`; on a result-cache hit the returned object
         algorithm: Optional[str] = None,
         scoring: Optional[ScoringFunction] = None,
         threads: int = 0,
-        processes: int = 0,
         **params,
     ) -> List[SearchResult]:
         """Answer a batch of queries, returning results in input order.
@@ -477,15 +565,9 @@ TableAnswerEngine.search>`; on a result-cache hit the returned object
         equal plans are deduplicated (executed once, fanned out), result-
         cache hits are served immediately, and the remaining unique plans
         execute on a thread pool of ``threads`` workers (``0``/``1`` =
-        inline).  ``processes=N`` (N >= 1; always forks, so ``1`` is a
-        single isolated worker, not inline) instead forks workers for
-        genuinely parallel execution on a platform with ``fork``; kept
-        subtrees come back as materialized, value-equal
-        :class:`~repro.index.entry.PathEntry` tuples (combos are
-        portable-ized in the child before crossing the pipe).
+        inline).  On a :class:`~repro.serve.pool.PooledSearchService`
+        each thread drives one fork worker — the genuinely parallel path.
         """
-        if processes and threads:
-            raise SearchError("pass threads= or processes=, not both")
         self.stats.bump(batches=1, batch_queries=len(queries))
         snap = self.snapshot()
         plans = [
@@ -511,14 +593,10 @@ TableAnswerEngine.search>`; on a result-cache hit the returned object
 
         if pending:
             run = lambda plan: self._execute_on(snap, plan)  # noqa: E731
-            if processes > 0 or threads > 1:
+            if threads > 1:
                 # One-time per-snapshot column builds happen before the
-                # fan-out: forked children would each rebuild them, and
-                # threads would race the same (idempotent) work.
+                # fan-out: threads would race the same (idempotent) work.
                 snap.store.warm_query_caches()
-            if processes > 0:
-                results = self._execute_forked(pending, processes)
-            elif threads > 1:
                 with ThreadPoolExecutor(max_workers=threads) as pool:
                     results = list(pool.map(run, pending))
             else:
@@ -531,23 +609,6 @@ TableAnswerEngine.search>`; on a result-cache hit the returned object
                 for position in positions[1:]:
                     slots[position] = self._flag_cached(result)
         return slots
-
-    def _execute_forked(
-        self, pending: List[QueryPlan], processes: int
-    ) -> List[SearchResult]:
-        import multiprocessing
-
-        global _FORK_SERVICE
-        try:
-            fork = multiprocessing.get_context("fork")
-        except ValueError as exc:  # pragma: no cover - non-fork platform
-            raise SearchError(f"processes= requires fork: {exc}") from exc
-        _FORK_SERVICE = self
-        try:
-            with fork.Pool(processes=processes) as pool:
-                return pool.map(_fork_execute, pending)
-        finally:
-            _FORK_SERVICE = None
 
     # -------------------------------------------------------------- caching
 
@@ -666,6 +727,7 @@ TableAnswerEngine.search>`; on a result-cache hit the returned object
         version = snap.store.version if snap is not None else None
         return (
             f"SearchService(store_version={version}, "
+            f"num_shards={self.num_shards}, "
             f"cached_results={len(self._results)}, "
             f"cached_contexts={len(self._contexts)})"
         )

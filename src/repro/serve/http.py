@@ -24,9 +24,9 @@ coalescing.  True CPU parallelism lives underneath: front a
 :class:`~repro.serve.pool.PooledSearchService` (``repro serve --http
 ... --processes N``) and each executor thread drives one long-lived
 fork worker — the loop keeps owning admission, deadlines, coalescing,
-and the result LRU, only cache-miss executions cross a pipe — or a
-:class:`~repro.search.sharding.ShardedSearchService` for intra-request
-scatter–gather.
+and the result LRU, only cache-miss executions cross a pipe.  Either
+service shards the same way (``--shards K``): bound-driven shard
+skipping runs in process, wherever the plan runs.
 
 Endpoints: ``GET /search``, ``GET /metrics`` (Prometheus text),
 ``GET /healthz``, ``POST /admin/invalidate`` (writer tick).
@@ -57,6 +57,9 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Content Too Large",
+    414: "URI Too Long",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",
@@ -65,6 +68,23 @@ _REASONS = {
 #: (status, body-bytes) — what one execution produces and every coalesced
 #: follower reuses verbatim.
 Response = Tuple[int, bytes]
+
+#: Fixed request-input limits.  A request line or header line longer
+#: than the stream reader's buffer is answered 414 / 431, more header
+#: lines than the cap 431, and a declared body over the cap 413 — each
+#: without reading further, and the connection is closed.  The server
+#: never reads a body it needs, so 1 MiB is generous.
+MAX_LINE_BYTES = 64 * 1024
+MAX_HEADER_LINES = 100
+MAX_BODY_BYTES = 1024 * 1024
+
+
+class _Rejected(Exception):
+    """A request head answered with an error status and a close."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 def _json_body(obj) -> bytes:
@@ -142,14 +162,15 @@ class HttpSearchServer:
             max_workers=self.workers, thread_name_prefix="repro-http"
         )
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port,
+            limit=MAX_LINE_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self, drain: bool = True) -> None:
         """Graceful shutdown: stop accepting, drain admitted requests,
-        then release the worker pool and the service's resources (the
-        sharded service reaps its fork-worker pool in ``close``)."""
+        then release the worker pool and the service's resources (a
+        pooled service reaps its fork workers in ``close``)."""
         self._draining = True
         if self._server is not None:
             self._server.close()
@@ -175,38 +196,18 @@ class HttpSearchServer:
             self._conn_tasks.add(task)
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line or not request_line.strip():
-                    break
                 try:
-                    method, target, version = (
-                        request_line.decode("latin-1").split()
-                    )
-                except ValueError:
+                    head = await self._read_head(reader)
+                except _Rejected as exc:
                     await self._write_response(
-                        writer, 400,
-                        _error_body(400, "malformed request line"),
+                        writer, exc.status,
+                        _error_body(exc.status, str(exc)),
                         keep_alive=False,
                     )
                     break
-                headers = {}
-                while True:
-                    line = await reader.readline()
-                    if not line or line in (b"\r\n", b"\n"):
-                        break
-                    name, _, value = line.decode("latin-1").partition(":")
-                    headers[name.strip().lower()] = value.strip()
-                body_length = _content_length(headers)
-                if body_length is None:
-                    await self._write_response(
-                        writer, 400,
-                        _error_body(400, "invalid Content-Length"),
-                        keep_alive=False,
-                    )
+                if head is None:
                     break
-                if body_length:
-                    await reader.readexactly(body_length)
-
+                method, target, version, headers = head
                 keep_alive = (
                     version != "HTTP/1.0"
                     and headers.get("connection", "").lower() != "close"
@@ -231,6 +232,45 @@ class HttpSearchServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
+
+    async def _read_head(self, reader):
+        """One request head (and its discarded body) within the input
+        limits: ``(method, target, version, headers)``, or ``None`` at
+        the end of the stream.  Raises :class:`_Rejected` otherwise."""
+        try:
+            request_line = await reader.readline()
+        except ValueError:  # over the reader limit
+            raise _Rejected(
+                414, f"request line over {MAX_LINE_BYTES} bytes"
+            ) from None
+        if not request_line or not request_line.strip():
+            return None
+        try:
+            method, target, version = request_line.decode("latin-1").split()
+        except ValueError:
+            raise _Rejected(400, "malformed request line") from None
+        headers = {}
+        for _ in range(MAX_HEADER_LINES + 1):
+            try:
+                line = await reader.readline()
+            except ValueError:
+                raise _Rejected(
+                    431, f"header line over {MAX_LINE_BYTES} bytes"
+                ) from None
+            if not line or line in (b"\r\n", b"\n"):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        else:
+            raise _Rejected(431, f"more than {MAX_HEADER_LINES} header lines")
+        body_length = _content_length(headers)
+        if body_length is None:
+            raise _Rejected(400, "invalid Content-Length")
+        if body_length > MAX_BODY_BYTES:
+            raise _Rejected(413, f"request body over {MAX_BODY_BYTES} bytes")
+        if body_length:
+            await reader.readexactly(body_length)
+        return method, target, version, headers
 
     async def _write_response(
         self,
@@ -564,12 +604,13 @@ class HttpSearchServer:
         ).add({}, getattr(store, "overlay_postings", 0)))
 
         # Execution backend: which spine runs cache-miss executions and
-        # how wide it is.  A plain service executes on this server's
-        # thread bridge; pool-backed services self-describe via stats.
+        # how wide it is.  An in-process service (plain or sharded)
+        # executes on this server's thread bridge; pool-backed services
+        # self-describe their width via stats.
         backend = stats.execution_backend
-        backend_workers = stats.execution_workers
+        backend_workers = stats.execution_workers or self.workers
         if backend == "inline":
-            backend, backend_workers = "threads", self.workers
+            backend = "threads"
         families.append(MetricFamily(
             "repro_execution_workers", "gauge",
             "Parallel execution width of the active backend.",

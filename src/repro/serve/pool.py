@@ -24,8 +24,9 @@ Division of labor — the parent keeps every piece of dispatch state:
   :class:`~repro.search.plan.QueryPlan` objects over tagged duplex
   pipes with the portable ``(score, pattern_key, num_subtrees,
   PathEntry-tuple combos, estimated_score)`` rows of
-  :func:`~repro.search.sharding.execute_shard_plan`, so
-  ``include_rows=True`` works across the pipe.
+  :func:`~repro.search.sharding.portable_answers`, so
+  ``include_rows=True`` (and ``search_many`` batches with kept subtree
+  rows) work across the pipe.
 
 Invalidation is the service's own version-guard protocol, one level up:
 the pool is tagged with the store version it was forked at, and a
@@ -35,21 +36,18 @@ Worker death (crash, OOM-kill, SIGKILL fault injection) is detected by
 pipe liveness, answered by **inline failover** in the parent (the
 request still gets a bit-identical answer), counted in
 ``ServiceStats.worker_failovers``, and healed by respawning the dead
-slot — the same fault model :class:`~repro.search.sharding.\
-ShardWorkerPool` implements per shard.
+slot.
 
-Composing with ``--shards``: the chosen composition is **parent
-dispatch → fork worker → inline scatter over the inherited partition**.
-Each worker holds the whole :class:`~repro.index.shards.ShardedIndexes`
-partition and runs the bound-driven best-bound-first merge loop
-(:func:`~repro.search.sharding.execute_sharded_plan` — literally the
-same function the sharded service's coordinator runs) in-process, so
-shard skip counters flow unchanged.  The alternative — nested per-worker
-shard pools — would put N×K processes on the box, oversubscribing every
-core for *intra*-request parallelism when the HTTP tier's scarce
-resource is *inter*-request throughput; one process per concurrent
-request parallelizes the stream without oversubscription and keeps the
-failure domain one pipe wide.  See ``docs/serving.md``.
+Composing with ``--shards``: sharding is a property of the service, not
+a process topology, so the composition is **parent dispatch → fork
+worker → in-process merge over the inherited partition**.  Each worker
+holds the whole :class:`~repro.index.shards.ShardedIndexes` partition
+and runs :func:`~repro.search.sharding.execute_sharded_plan` — the same
+function :class:`~repro.search.service.SearchService` runs inline, and
+the one an inline failover runs in the parent — so shard skip counters
+flow unchanged.  One process per concurrent request parallelizes the
+stream without oversubscribing the cores and keeps the failure domain
+one pipe wide.  See ``docs/serving.md``.
 """
 
 from __future__ import annotations
@@ -62,16 +60,17 @@ from typing import List, Optional
 
 from repro.core.errors import SearchError
 from repro.index.builder import PathIndexes
-from repro.index.shards import ShardedIndexes, partition_indexes
-from repro.scoring.function import PAPER_DEFAULT, ScoringFunction
+from repro.index.shards import ShardedIndexes
 from repro.search.context import EnumerationContext
 from repro.search.plan import QueryPlan
-from repro.search.result import PatternAnswer, SearchResult, pattern_from_key
+from repro.search.result import SearchResult
 from repro.search.service import SearchService
 from repro.search.sharding import (
     execute_shard_plan,
     execute_sharded_plan,
     plan_shardable,
+    portable_answers,
+    result_from_portable,
     shard_upper_bounds,
 )
 
@@ -88,34 +87,22 @@ def _execute_portable(
     """Worker-side execution: a plan in, portable answers + stats out.
 
     Plain pools (and non-shardable plans on sharded pools) run the whole
-    plan against the inherited snapshot; sharded pools run the inline
-    scatter–gather merge loop over the inherited partition — the same
-    :func:`execute_sharded_plan` the sharded coordinator uses, so the
+    plan against the inherited snapshot; sharded pools run the merge
+    loop over the inherited partition — the same
+    :func:`execute_sharded_plan` ``SearchService`` runs inline, so the
     two spines produce bit-identical answers by construction.
     """
     if sharded is None or not plan_shardable(plan):
         return execute_shard_plan(bundle, plan)
     context = EnumerationContext(bundle, plan.resolved_query())
-    uppers = shard_upper_bounds(sharded, context, plan.scoring)
     result = execute_sharded_plan(
         bundle,
         plan,
         sharded,
-        uppers,
-        lambda shard_id: execute_shard_plan(sharded.shards[shard_id], plan),
+        shard_upper_bounds(sharded, context, plan.scoring),
         candidate_roots=len(context.candidate_roots),
     )
-    portable = [
-        (
-            answer.score,
-            answer.pattern_key,
-            answer.num_subtrees,
-            [tuple(combo) for combo in answer.subtrees],
-            answer.estimated_score,
-        )
-        for answer in result.answers
-    ]
-    return portable, result.stats
+    return portable_answers(result), result.stats
 
 
 def _pool_worker_main(
@@ -180,10 +167,9 @@ class _PoolWorker:
 class ForkWorkerPool:
     """N interchangeable fork workers behind a free-slot queue.
 
-    Unlike :class:`~repro.search.sharding.ShardWorkerPool` (one worker
-    *per shard*, one in-flight query per pool), every worker here can
-    execute every plan, and N requests execute concurrently — one
-    executor thread owns one worker slot for the duration of a request,
+    Every worker can execute every plan, and N requests execute
+    concurrently — one executor thread owns one worker slot for the
+    duration of a request,
     so each duplex pipe still has exactly one user at a time and needs
     no multiplexing.  Fork-only by design: the snapshot (and the
     optional shard partition) is inherited through the forked address
@@ -425,10 +411,11 @@ class PooledSearchService(SearchService):
     :class:`~repro.search.service.SearchService` — with cache-miss
     executions crossing to :class:`ForkWorkerPool` workers.  The pool
     is built lazily on the first poolable execution and rebuilt whenever
-    the store version moves.  Pass ``num_shards=K`` to compose with the
-    partitioned store: workers then run the inline scatter–gather merge
-    loop over the inherited partition (module docstring).  Call
-    :meth:`close` (or use as a context manager) to reap the workers.
+    the store version moves.  ``num_shards`` / ``sharded`` (and every
+    other :class:`~repro.search.service.SearchService` option) pass
+    through: workers then run the merge loop over the inherited
+    partition (module docstring).  Call :meth:`close` (or use as a
+    context manager) to reap the workers.
 
     Only the ``baseline`` algorithm routes inline: it walks the live
     graph, which a forked worker froze at pool-build time.  Every
@@ -440,89 +427,24 @@ class PooledSearchService(SearchService):
         self,
         indexes: PathIndexes,
         processes: int = DEFAULT_POOL_PROCESSES,
-        num_shards: int = 0,
-        scoring: ScoringFunction = PAPER_DEFAULT,
         worker_timeout: float = 60.0,
-        sharded: Optional[ShardedIndexes] = None,
         **kwargs,
     ) -> None:
-        super().__init__(indexes, scoring=scoring, **kwargs)
         if processes < 1:
             raise SearchError(f"processes must be >= 1, got {processes}")
-        if num_shards < 0:
-            raise SearchError(f"num_shards must be >= 0, got {num_shards}")
-        if sharded is not None:
-            if sharded.base is not indexes:
-                raise SearchError(
-                    "preloaded ShardedIndexes must wrap the same live "
-                    "bundle the service serves"
-                )
-            if num_shards and sharded.num_shards != num_shards:
-                raise SearchError(
-                    f"preloaded partition has {sharded.num_shards} shards, "
-                    f"service asked for {num_shards}"
-                )
-            num_shards = sharded.num_shards
+        super().__init__(indexes, **kwargs)
         self.processes = processes
-        self.num_shards = num_shards
         self.worker_timeout = worker_timeout
         self.stats.execution_backend = (
-            "fork-pool+sharded" if num_shards else "fork-pool"
+            "fork-pool+sharded" if self.num_shards else "fork-pool"
         )
         self.stats.execution_workers = processes
-        self._preloaded = sharded
         self._pool: Optional[ForkWorkerPool] = None
         #: Guards pool lifecycle only — executions run outside it, N at
         #: a time, each owning one worker slot.
         self._pool_lock = threading.Lock()
 
     # ----------------------------------------------------------- lifecycle
-
-    @classmethod
-    def from_file(
-        cls,
-        path,
-        processes: int = DEFAULT_POOL_PROCESSES,
-        num_shards: Optional[int] = None,
-        **kwargs,
-    ) -> "PooledSearchService":
-        """Serve a persisted bundle, honoring a stored partition when
-        sharded composition is requested (mirrors
-        :meth:`ShardedSearchService.from_file <repro.search.sharding.\
-ShardedSearchService.from_file>`)."""
-        from pathlib import Path
-
-        from repro.core.errors import PathIndexError
-        from repro.index.serialize import load_indexes, load_sharded_indexes
-
-        if not num_shards:
-            service = cls(load_indexes(path), processes=processes, **kwargs)
-            service.index_path = Path(path)
-            return service
-        try:
-            sharded = load_sharded_indexes(path)
-        except PathIndexError:
-            sharded = None
-        if sharded is None:
-            service = cls(
-                load_indexes(path),
-                processes=processes,
-                num_shards=num_shards,
-                **kwargs,
-            )
-        elif sharded.num_shards != num_shards:
-            service = cls(
-                sharded.base,
-                processes=processes,
-                num_shards=num_shards,
-                **kwargs,
-            )
-        else:
-            service = cls(
-                sharded.base, processes=processes, sharded=sharded, **kwargs
-            )
-        service.index_path = Path(path)
-        return service
 
     def close(self) -> None:
         """Reap the worker pool (the service stays usable; the next
@@ -531,19 +453,6 @@ ShardedSearchService.from_file>`)."""
             if self._pool is not None:
                 self._pool.close()
                 self._pool = None
-
-    def _compact_shards(self) -> int:
-        """Sharded composition writes its partition into the compacted
-        file; a plain pool (num_shards=0) writes a single store."""
-        return self.num_shards
-
-    def _adopt_compaction(self, outcome: dict) -> None:
-        """Adopt the compaction's fresh mapped partition (when sharded):
-        its ``store_version`` matches the post-re-map live version, so
-        the next pool rebuild forks workers over re-mapped extents
-        instead of re-partitioning — and never inherits a heap copy."""
-        if outcome["sharded"] is not None:
-            self._preloaded = outcome["sharded"]
 
     def _ensure_pool(self, snap: PathIndexes) -> ForkWorkerPool:
         """The pool for the serving version, rebuilt when the store
@@ -563,11 +472,7 @@ ShardedSearchService.from_file>`)."""
             if pool is not None:
                 pool.close()
                 self._pool = None
-            sharded = None
-            if self.num_shards:
-                sharded = self._preloaded
-                if sharded is None or sharded.store_version != version:
-                    sharded = partition_indexes(snap, self.num_shards)
+            sharded = self._partition(snap) if self.num_shards else None
             # Warm in the parent, once, before the fork: every worker
             # inherits the boxed query columns (a range fill over every
             # path) and bound columns copy-on-write.  Mapped stores keep
@@ -589,8 +494,7 @@ ShardedSearchService.from_file>`)."""
     def __repr__(self) -> str:
         pool = "up" if self._pool is not None and not self._pool.closed else "down"
         return (
-            f"PooledSearchService(processes={self.processes}, "
-            f"num_shards={self.num_shards}, pool={pool}, "
+            f"PooledSearchService(processes={self.processes}, pool={pool}, "
             f"{super().__repr__()[len('SearchService('):]}"
         )
 
@@ -598,15 +502,6 @@ ShardedSearchService.from_file>`)."""
 
     def _plan_poolable(self, plan: QueryPlan) -> bool:
         return plan.algorithm != "baseline"
-
-    def _execute_forked(self, pending, processes):
-        raise SearchError(
-            "search_many(processes=N) is disabled on PooledSearchService: "
-            "forked batch children would share the pool workers' pipes; "
-            "the standing fork pool is already the parallel path (use "
-            "threads= for batch overlap — each thread drives one pool "
-            "worker)"
-        )
 
     def _execute_on(self, snap: PathIndexes, plan: QueryPlan) -> SearchResult:
         if not self._plan_poolable(plan):
@@ -620,26 +515,7 @@ ShardedSearchService.from_file>`)."""
             # respawned by the pool before the error reached us.
             self.stats.bump(worker_failovers=1)
             return super()._execute_on(snap, plan)
-        answers = []
-        for score, key, count, combos, estimated in portable:
-            pattern = pattern_from_key(snap, key)
-            answers.append(
-                PatternAnswer(
-                    pattern_key=key,
-                    pattern=pattern,
-                    score=score,
-                    num_subtrees=count,
-                    subtrees=list(combos),
-                    estimated_score=estimated,
-                )
-            )
-        return SearchResult(
-            query=plan.words,
-            k=plan.k,
-            d=plan.d,
-            answers=answers,
-            stats=stats,
-        )
+        return result_from_portable(snap, plan, portable, stats)
 
     # ----------------------------------------------------------- reporting
 

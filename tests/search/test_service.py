@@ -21,6 +21,7 @@ from repro.index.incremental import add_entity, add_relationship
 from repro.kg.pagerank import uniform_scores
 from repro.search.engine import TableAnswerEngine
 from repro.search.service import SearchService
+from repro.serve.pool import PooledSearchService
 
 QUERY = "database software company revenue"
 
@@ -222,10 +223,10 @@ class TestBatch:
         service = SearchService(example_indexes)
         queries = [QUERY, "software company", "database revenue"]
         inline = service.search_many(queries, k=3, keep_subtrees=False)
-        service.invalidate()
-        forked = service.search_many(
-            queries, k=3, keep_subtrees=False, processes=2
-        )
+        with PooledSearchService(example_indexes, processes=2) as pooled:
+            forked = pooled.search_many(
+                queries, k=3, keep_subtrees=False, threads=2
+            )
         assert [(r.scores(), r.pattern_keys()) for r in inline] == [
             (r.scores(), r.pattern_keys()) for r in forked
         ]
@@ -233,15 +234,13 @@ class TestBatch:
     def test_processes_keep_subtrees_rows_match_inline(
         self, example_indexes
     ):
-        # Kept subtree combos are ComboRef store views in the child; the
-        # fork path must ship them back as value-equal PathEntry tuples
-        # (the old behavior was a loud "requires keep_subtrees=False"
-        # error).
+        # Kept subtree combos are ComboRef store views in the worker; the
+        # pool must ship them back as value-equal PathEntry tuples.
         service = SearchService(example_indexes)
         queries = [QUERY, "software company", "database revenue"]
         inline = service.search_many(queries, k=3)
-        service.invalidate()
-        forked = service.search_many(queries, k=3, processes=2)
+        with PooledSearchService(example_indexes, processes=2) as pooled:
+            forked = pooled.search_many(queries, k=3, threads=2)
         assert [fingerprint(r) for r in inline] == [
             fingerprint(r) for r in forked
         ]
@@ -250,13 +249,6 @@ class TestBatch:
                 assert [
                     tuple(combo) for combo in ref_answer.subtrees
                 ] == list(answer.subtrees)
-
-    def test_threads_and_processes_exclusive(self, example_indexes):
-        service = SearchService(example_indexes)
-        with pytest.raises(SearchError, match="not both"):
-            service.search_many(
-                [QUERY], threads=2, processes=2, keep_subtrees=False
-            )
 
 
 class TestConcurrentServing:

@@ -1,10 +1,12 @@
-"""Sharded scatter–gather serving: partition invariants, bit-identity,
-bound-driven shard skipping, and worker-pool robustness.
+"""Sharded execution: partition invariants, bit-identity, bound-driven
+shard skipping, and partition lifecycle.
 
 The load-bearing contract is differential: for every shardable algorithm
-and every shard count, :class:`ShardedSearchService` must return answers
-**bit-identical** to the plain single-store service — scores, pattern
-keys, subtree rows, ordering, everything (see ``docs/sharding.md``).
+and every shard count, a ``SearchService(num_shards=K)`` — in process or
+through a :class:`~repro.serve.pool.PooledSearchService` fork pool —
+must return answers **bit-identical** to the plain single-store service
+— scores, pattern keys, subtree rows, ordering, everything (see
+``docs/sharding.md``).
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ from repro.search.context import EnumerationContext
 from repro.search.service import SearchService
 from repro.search.sharding import (
     SHARDABLE_ALGORITHMS,
-    ShardedSearchService,
     execute_shard_plan,
     plan_shardable,
 )
+from repro.serve.pool import PooledSearchService
 
 ALGORITHMS = ("pattern_enum", "linear_topk", "linear_full", "baseline")
 SHARD_COUNTS = (1, 2, 4, 7)
@@ -76,11 +78,17 @@ def wiki_queries(wiki_indexes):
 
 @pytest.fixture(scope="module")
 def sharded_services(wiki_indexes):
-    """One pool per shard count, shared by the differential tests."""
-    services = {
-        num_shards: ShardedSearchService(wiki_indexes, num_shards=num_shards)
-        for num_shards in SHARD_COUNTS
-    }
+    """One in-process service per shard count (keyed ``K``), plus the
+    same partition served through a fork pool (keyed ``("pooled", K)``),
+    shared by the differential tests."""
+    services = {}
+    for num_shards in SHARD_COUNTS:
+        services[num_shards] = SearchService(
+            wiki_indexes, num_shards=num_shards
+        )
+        services["pooled", num_shards] = PooledSearchService(
+            wiki_indexes, processes=2, num_shards=num_shards
+        )
     yield services
     for service in services.values():
         service.close()
@@ -155,21 +163,32 @@ class TestBitIdentity:
         self, sharded_services, plain_service, wiki_queries, num_shards
     ):
         service = sharded_services[num_shards]
+        pooled = sharded_services["pooled", num_shards]
         for algorithm in ALGORITHMS:
             for query in wiki_queries:
                 reference = plain_service.search(
                     query, k=5, algorithm=algorithm
                 )
                 sharded = service.search(query, k=5, algorithm=algorithm)
-                assert fingerprint(sharded) == fingerprint(reference), (
-                    num_shards,
-                    algorithm,
-                    query,
-                )
+                via_pool = pooled.search(query, k=5, algorithm=algorithm)
+                label = (num_shards, algorithm, query)
+                assert fingerprint(sharded) == fingerprint(reference), label
+                assert fingerprint(via_pool) == fingerprint(reference), label
                 if algorithm in SHARDABLE_ALGORITHMS and not (
                     sharded.stats.from_result_cache
                 ):
                     assert sharded.stats.shards_total == num_shards
+                # In-process and pooled sharding make the same skips in
+                # the same order (cached stats describe the execution).
+                assert (
+                    via_pool.stats.shards_total,
+                    via_pool.stats.shards_skipped,
+                    via_pool.stats.shard_dispatch_order,
+                ) == (
+                    sharded.stats.shards_total,
+                    sharded.stats.shards_skipped,
+                    sharded.stats.shard_dispatch_order,
+                ), label
 
     def test_no_subtrees_matches_too(
         self, sharded_services, plain_service, wiki_queries
@@ -256,9 +275,8 @@ class TestBoundSkipping:
         snap = service.snapshot()
         plan = service.plan(wiki_queries[0], k=5)
         context = service._context_for(snap, plan)
-        with service._scatter_lock:
-            sharded, _ = service._ensure_pool(snap)
-            uppers = service._shard_bounds(snap, plan, context, sharded)
+        sharded = service._partition(snap)
+        uppers = service._shard_bounds(snap, plan, context, sharded)
         bounds = [uppers[shard_id] for shard_id in order]
         assert bounds == sorted(bounds, reverse=True)
 
@@ -310,32 +328,8 @@ class TestInlineRouting:
 
 
 class TestWorkerRobustness:
-    def test_killed_worker_fails_over_and_respawns(
-        self, small_bundle, monkeypatch
-    ):
-        plain = SearchService(small_bundle)
-        vocab = sorted(small_bundle.store.words())
-        query = " ".join(vocab[:2])
-        with ShardedSearchService(small_bundle, num_shards=4) as service:
-            first = service.search(query, k=5)
-            assert first.stats.shard_dispatch_order, "query dispatched nothing"
-            victim = first.stats.shard_dispatch_order[0]
-            service._pool.kill_worker(victim)
-            service._results.clear()  # force re-execution, not a cache hit
-            recovered = service.search(query, k=5)
-            assert fingerprint(recovered) == fingerprint(first)
-            assert recovered.stats.shard_failovers >= 1
-            # The pool respawned the worker: the next query runs fully
-            # remote again, no failover.
-            service._results.clear()
-            healthy = service.search(query, k=5)
-            assert healthy.stats.shard_failovers == 0
-            assert fingerprint(healthy) == fingerprint(
-                plain.search(query, k=5)
-            )
-
     def test_inline_execution_matches_worker(self, small_bundle):
-        # The failover path runs the same function the workers run.
+        # Per-shard runs cover every global top-k pattern.
         service = SearchService(small_bundle)
         vocab = sorted(small_bundle.store.words())
         plan = service.plan(" ".join(vocab[:2]), k=5)
@@ -350,13 +344,6 @@ class TestWorkerRobustness:
         assert set(a.pattern_key for a in reference.answers) <= set(
             merged_keys
         )
-
-    def test_processes_batch_is_rejected(self, small_bundle):
-        with ShardedSearchService(small_bundle, num_shards=2) as service:
-            with pytest.raises(SearchError, match="parallel path"):
-                service.search_many(
-                    ["anything"], k=3, processes=2, keep_subtrees=False
-                )
 
 
 class TestShardedPersistence:
@@ -390,13 +377,13 @@ class TestShardedPersistence:
         vocab = sorted(small_bundle.store.words())
         query = " ".join(vocab[:2])
         reference = SearchService(small_bundle).search(query, k=5)
-        with ShardedSearchService.from_file(path) as service:
+        with SearchService.from_file(path) as service:
             assert service.num_shards == 3  # stored partition honored
             assert fingerprint(service.search(query, k=5)) == fingerprint(
                 reference
             )
         # A different K repartitions instead of using the stored shards.
-        with ShardedSearchService.from_file(path, num_shards=2) as service:
+        with SearchService.from_file(path, num_shards=2) as service:
             assert service.num_shards == 2
             assert fingerprint(service.search(query, k=5)) == fingerprint(
                 reference
@@ -405,17 +392,22 @@ class TestShardedPersistence:
 
 class TestPoolLifecycle:
     def test_pool_rebuilds_after_store_mutation(self, small_bundle):
+        """The partition is re-cut after a store mutation."""
         vocab = sorted(small_bundle.store.words())
         query = " ".join(vocab[:2])
-        with ShardedSearchService(small_bundle, num_shards=2) as service:
+        with SearchService(small_bundle, num_shards=2) as service:
             before = service.search(query, k=5)
-            first_pool = service._pool
+            first_partition = service._sharded
+            assert first_partition.store_version == small_bundle.store.version
             # Any store mutation bumps the version; the next shardable
-            # query must re-partition and re-fork against the new state.
+            # query must re-partition against the new state.
             word, path_id, sim = "zzz-new-word", 0, 0.5
             small_bundle.store.add_posting(word, path_id, sim)
             after = service.search(query, k=5)
-            assert service._pool is not first_pool
+            assert service._sharded is not first_partition
+            assert (
+                service._sharded.store_version == small_bundle.store.version
+            )
             assert fingerprint(after) == fingerprint(
                 SearchService(small_bundle).search(query, k=5)
             )
@@ -425,11 +417,11 @@ class TestPoolLifecycle:
     def test_close_is_idempotent_and_service_survives(self, small_bundle):
         vocab = sorted(small_bundle.store.words())
         query = vocab[0]
-        service = ShardedSearchService(small_bundle, num_shards=2)
+        service = SearchService(small_bundle, num_shards=2)
         first = service.search(query, k=3)
         service.close()
         service.close()
-        # Serving continues: a fresh pool is built on demand.
+        # Serving continues after close.
         service._results.clear()
         again = service.search(query, k=3)
         assert fingerprint(again) == fingerprint(first)
@@ -438,6 +430,4 @@ class TestPoolLifecycle:
     def test_rejects_mismatched_preload(self, small_bundle):
         sharded = partition_indexes(small_bundle, 2)
         with pytest.raises(SearchError, match="shards"):
-            ShardedSearchService(
-                small_bundle, num_shards=3, sharded=sharded
-            )
+            SearchService(small_bundle, num_shards=3, sharded=sharded)

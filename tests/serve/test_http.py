@@ -151,6 +151,41 @@ class TestRouting:
         status, _, _ = get(server.address, "/healthz")
         assert status == 200
 
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (  # one header line over the stream reader's 64 KiB limit
+                b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000
+                + b"\r\n\r\n",
+                431,
+            ),
+            (  # far more header lines than the cap
+                b"GET /healthz HTTP/1.1\r\n"
+                + b"".join(b"X-H%d: v\r\n" % i for i in range(5000))
+                + b"\r\n",
+                431,
+            ),
+            (  # a declared body the server would otherwise wait for
+                b"POST /admin/invalidate HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Length: 999999999\r\n\r\n",
+                413,
+            ),
+        ],
+        ids=["long-header-line", "too-many-headers", "huge-content-length"],
+    )
+    def test_oversized_request_answered_and_closed(
+        self, server, request_bytes, status
+    ):
+        """Requests over the fixed input limits get an error status and a
+        closed connection — never an empty reply or a stalled read."""
+        response = raw_exchange(server.address, request_bytes)
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(f"HTTP/1.1 {status} ".encode()), response
+        assert b"Connection: close" in head
+        assert json.loads(body)["status"] == status
+        status, _, _ = get(server.address, "/healthz")
+        assert status == 200
+
     def test_unknown_route_404(self, server):
         status, body, _ = get(server.address, "/nope")
         assert status == 404
@@ -459,9 +494,7 @@ class TestShardedBackend:
     plain engine, and its shard counters flow into ``/metrics``."""
 
     def test_concurrent_sharded_responses_match_plain(self, example_indexes):
-        from repro.search.sharding import ShardedSearchService
-
-        sharded = ShardedSearchService(example_indexes, num_shards=3)
+        sharded = SearchService(example_indexes, num_shards=3)
         plain = SearchService(example_indexes)
         server = start_http_server(sharded, max_queue=32, workers=4)
         reference = start_http_server(plain, max_queue=32, workers=4)
@@ -493,7 +526,8 @@ class TestShardedBackend:
 
             _status, metrics, _ = get(server.address, "/metrics")
             text = metrics.decode()
-            assert 'repro_execution_workers{backend="sharded"} 3' in text
+            # In-process sharding runs on the server's 4 executor threads.
+            assert 'repro_execution_workers{backend="sharded"} 4' in text
             shard_counters = {
                 line.split()[0]: float(line.split()[1])
                 for line in text.splitlines()

@@ -35,7 +35,6 @@ from repro.index.mmapstore import MappedPostingStore
 from repro.index.serialize import save_indexes
 from repro.kg.pagerank import uniform_scores
 from repro.search.service import SearchService
-from repro.search.sharding import ShardedSearchService
 from repro.serve import start_http_server
 from repro.serve.pool import PooledSearchService
 
@@ -190,7 +189,7 @@ class TestMutationUnderLoad:
 
     def test_sharded_http_matches_update_boundaries(self, mapped_path):
         thawed_before = MappedPostingStore.backed_stores_thawed
-        service = ShardedSearchService.from_file(mapped_path, num_shards=2)
+        service = SearchService.from_file(mapped_path, num_shards=2)
         server = start_http_server(service, max_queue=64, workers=2)
         try:
             drive_mutations_under_load(service, server.address)
@@ -218,7 +217,7 @@ class TestCompactionUnderServing:
             # than re-partitioning a heap copy.
             assert outcome["generation"] == 1
             assert outcome["sharded"] is not None
-            assert service._preloaded is outcome["sharded"]
+            assert service._sharded is outcome["sharded"]
             assert service.indexes.store.generation == 1
             assert service.indexes.store.overlay_postings == 0
 

@@ -472,17 +472,21 @@ class TestSharding:
         assert code == 0
         assert capsys.readouterr().out.count("answers") == 2
 
-    def test_batch_processes_and_shards_conflict(
+    def test_batch_processes_with_shards(
         self, index_file, tmp_path, capsys
     ):
+        # --processes and --shards compose: each fork worker runs the
+        # sharded merge loop over its inherited partition.
         queries = tmp_path / "queries.txt"
         queries.write_text("software company\n")
         code = main(
             ["batch", str(index_file), str(queries),
              "--processes", "2", "--no-subtrees", "--shards", "2"]
         )
-        assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        assert code == 0
+        out = capsys.readouterr().out
+        assert out.count("answers") == 1
+        assert "backend fork-pool+sharded x2" in out
 
     def test_serve_with_shards(self, index_file, capsys, monkeypatch):
         import io
@@ -494,7 +498,7 @@ class TestSharding:
         assert code == 0
         out = capsys.readouterr().out
         assert "--- #1" in out
-        assert "execution backend: sharded (2 workers)" in out
+        assert "execution backend: sharded (2 shards)" in out
 
     def test_serve_with_processes(self, index_file, capsys, monkeypatch):
         import io

@@ -94,6 +94,38 @@ class TestAddEntity:
 
 
 class TestAddRelationship:
+    @pytest.mark.parametrize(
+        "source, attr_name, target, error",
+        [
+            (0, 7, 1, TypeError),
+            (0, None, 1, TypeError),
+            (0, b"bytes", 1, TypeError),
+            ("0", "x", 1, TypeError),
+            (0, "x", 1.0, TypeError),
+            (True, "x", 1, TypeError),
+            (0, "x", 99, PathIndexError),
+        ],
+    )
+    def test_bad_arguments_change_nothing(
+        self, base, source, attr_name, target, error
+    ):
+        """Validation runs before the graph is touched: a rejected call
+        interns no attribute, adds no edge, bumps no version — and the
+        next valid call still succeeds."""
+        graph, indexes, software, company = base
+        attrs = graph.num_attrs
+        edges = graph.num_edges
+        version = indexes.store.version
+        entries = entry_set(indexes)
+        with pytest.raises(error):
+            add_relationship(indexes, source, attr_name, target)
+        assert graph.num_attrs == attrs
+        assert graph.num_edges == edges
+        assert indexes.store.version == version
+        assert entry_set(indexes) == entries
+        assert add_relationship(indexes, software, "x", company) >= 0
+        assert graph.num_edges == edges + 1
+
     def test_matches_full_rebuild(self, base):
         """Entry-level equivalence: incremental == from-scratch."""
         graph, indexes, software, _company = base

@@ -344,7 +344,7 @@ class TestCompaction:
         file restores a partition whose coordinator answers match the
         heap oracle for the updated content."""
         from repro.search.engine import TableAnswerEngine
-        from repro.search.sharding import ShardedSearchService
+        from repro.search.service import SearchService
 
         path = tmp_path / "wiki.idx"
         save_indexes(wiki_indexes, path, version=3)
@@ -364,7 +364,7 @@ class TestCompaction:
         restored = load_sharded_indexes(path)
         assert restored.num_shards == num_shards
         engine = TableAnswerEngine(oracle.graph, indexes=oracle)
-        service = ShardedSearchService(
+        service = SearchService(
             mapped, num_shards=num_shards, sharded=sharded
         )
         try:
@@ -448,16 +448,16 @@ class TestShardedV3:
     def test_sharded_service_identical(
         self, wiki_indexes, tmp_path, num_shards
     ):
-        """v3 sharded file through the fork-worker pool == unsharded."""
+        """v3 sharded file through the sharded service == unsharded."""
         from repro.search.engine import TableAnswerEngine
-        from repro.search.sharding import ShardedSearchService
+        from repro.search.service import SearchService
 
         path = tmp_path / f"s{num_shards}.idx"
         save_sharded_indexes(
             partition_indexes(wiki_indexes, num_shards), path, version=3
         )
         oracle = TableAnswerEngine(wiki_indexes.graph, indexes=wiki_indexes)
-        service = ShardedSearchService.from_file(path)
+        service = SearchService.from_file(path)
         try:
             query = list(_query_for(wiki_indexes))
             for algorithm in ("pattern_enum", "linear"):
